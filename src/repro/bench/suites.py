@@ -35,7 +35,6 @@ from repro.parallel import (
     resolve_jobs,
     run_dca_shards,
     shard_specs,
-    shm_available,
 )
 from repro.sim.engine import Simulator
 
@@ -428,9 +427,7 @@ def _bench_scale_regime(
 
     Same shape as :func:`bench_scale` -- sharded columnar serial vs
     parallel, whole-merged-report identity gated via ``diverged`` -- plus
-    two regime-specific teeth: shard columns travel over the
-    shared-memory transport (so the bench exercises the shm path end to
-    end), and a small object-DES leg of the *same* regime yields
+    a small object-DES leg of the *same* regime that yields
     ``speedup_vs_des``, gated at full size against
     :data:`DES_SPEEDUP_FLOOR` via ``below_des_floor``.
     """
@@ -442,7 +439,6 @@ def _bench_scale_regime(
         tasks = 2_000 if quick else 10_000
         nodes = 200 if quick else 1_000
     shards = 4 if quick else 8
-    transport = "shm" if engine == "columnar" and shm_available() else "pickle"
     parallel_jobs = max(2, resolve_jobs(jobs))
     overrides = _SCALE_REGIMES[regime](nodes)
     params = dict(
@@ -451,7 +447,6 @@ def _bench_scale_regime(
         shards=shards,
         reliability=0.7,
         engine=engine,
-        transport=transport,
         **overrides,
     )
 
@@ -466,9 +461,7 @@ def _bench_scale_regime(
             engine=engine,
             **overrides,
         )
-        return merge_shard_reports(
-            run_dca_shards(specs, jobs=n_jobs, transport=transport)
-        )
+        return merge_shard_reports(run_dca_shards(specs, jobs=n_jobs))
 
     serial_stats, serial_merged = time_callable(
         lambda: run(1), repeats=repeats, warmup=0
@@ -546,7 +539,7 @@ def _bench_scale_regime(
 def bench_scale_churn(
     *, seed: int = 0, jobs: Optional[int] = None, quick: bool = False, repeats: int = 3
 ) -> dict:
-    """Million-task tier under node churn (sharded columnar, shm transport)."""
+    """Million-task tier under node churn (sharded columnar)."""
     return _bench_scale_regime(
         "churn", seed=seed, jobs=jobs, quick=quick, repeats=repeats
     )
@@ -556,7 +549,7 @@ def bench_scale_churn(
 def bench_scale_spot(
     *, seed: int = 0, jobs: Optional[int] = None, quick: bool = False, repeats: int = 3
 ) -> dict:
-    """Million-task tier with spot-check diversion (sharded columnar, shm)."""
+    """Million-task tier with spot-check diversion (sharded columnar)."""
     return _bench_scale_regime(
         "spot", seed=seed, jobs=jobs, quick=quick, repeats=repeats
     )
@@ -566,7 +559,7 @@ def bench_scale_spot(
 def bench_scale_deadline(
     *, seed: int = 0, jobs: Optional[int] = None, quick: bool = False, repeats: int = 3
 ) -> dict:
-    """Million-task tier under a ``max_time`` horizon (sharded columnar, shm)."""
+    """Million-task tier under a ``max_time`` horizon (sharded columnar)."""
     return _bench_scale_regime(
         "deadline", seed=seed, jobs=jobs, quick=quick, repeats=repeats
     )

@@ -19,12 +19,7 @@ Entry point::
     print(report.summary())
 """
 
-from repro.dca.columnar import (
-    ColumnarReport,
-    ColumnarUnsupported,
-    run_columnar_dca,
-    run_columnar_dca_columns,
-)
+from repro.dca.columnar import ColumnarReport, ColumnarUnsupported, run_columnar_dca
 from repro.dca.config import DcaConfig
 from repro.dca.failures import (
     ByzantineCollusion,
@@ -69,7 +64,6 @@ __all__ = [
     "expected_completion_time",
     "optimal_interval",
     "run_columnar_dca",
-    "run_columnar_dca_columns",
     "run_dca",
     "simulate_job",
 ]

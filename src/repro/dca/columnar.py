@@ -406,34 +406,6 @@ def run_columnar_dca(
     Returns:
         A :class:`ColumnarReport` with the Section 4.1 measures.
     """
-    report, _ = _run_columnar(config, recorder, max_waves, collect_columns=False)
-    return report
-
-
-def run_columnar_dca_columns(
-    config: DcaConfig,
-    recorder: Optional[Recorder] = None,
-    *,
-    max_waves: int = 10_000,
-) -> Tuple[ColumnarReport, Dict[str, "np.ndarray"]]:
-    """Like :func:`run_columnar_dca`, but also return per-task columns.
-
-    The columns cover *completed* tasks in task order --
-    ``response_time`` (float64), ``jobs_used`` / ``waves`` (int64) and
-    ``correct`` (bool) -- the raw material the shared-memory shard
-    transport ships instead of pickled payloads (see
-    :mod:`repro.parallel.shm`).
-    """
-    return _run_columnar(config, recorder, max_waves, collect_columns=True)
-
-
-def _run_columnar(
-    config: DcaConfig,
-    recorder: Optional[Recorder],
-    max_waves: int,
-    *,
-    collect_columns: bool,
-) -> Tuple[ColumnarReport, Dict[str, "np.ndarray"]]:
     _require_numpy()
     _validate(config)
     strategy = config.strategy
@@ -769,15 +741,7 @@ def _run_columnar(
         nodes_joined=joins,
         nodes_departed=departures,
     )
-    columns: Dict[str, "np.ndarray"] = {}
-    if collect_columns:
-        columns = {
-            "response_time": clock[completed],
-            "jobs_used": jobs_used[completed],
-            "waves": waves[completed],
-            "correct": accepted_true[completed],
-        }
-    return report, columns
+    return report
 
 
 # ---------------------------------------------------------------------------

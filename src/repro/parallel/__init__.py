@@ -12,6 +12,9 @@ pool and still produce results byte-identical to a serial run:
 * :mod:`repro.parallel.engine` maps a picklable worker over the specs
   with chunked, straggler-aware scheduling (``--jobs 1`` is the exact
   legacy in-process serial path);
+* :mod:`repro.parallel.envelope` holds the worker result types and
+  :func:`~repro.parallel.envelope.fan_out`, the parent-side skeleton all
+  three runners share;
 * :mod:`repro.parallel.reducer` folds the per-replicate envelopes back
   into means/standard errors in *spec order*, so aggregates never depend
   on completion order;
@@ -50,19 +53,10 @@ from repro.parallel.reducer import (
 from repro.parallel.seeds import replicate_seeds, shard_seeds
 from repro.parallel.shards import (
     ShardSpec,
-    merge_shard_columns,
     merge_shard_reports,
-    release_shard_columns,
     run_dca_shard,
     run_dca_shards,
     shard_specs,
-)
-from repro.parallel.shm import (
-    ColumnBlockHandle,
-    read_columns,
-    release_columns,
-    shm_available,
-    write_columns,
 )
 from repro.parallel.volunteer import (
     VolunteerProblemSpec,
@@ -71,7 +65,6 @@ from repro.parallel.volunteer import (
 )
 
 __all__ = [
-    "ColumnBlockHandle",
     "DcaReplicateSpec",
     "MetricAggregate",
     "ReplicateEnvelope",
@@ -85,14 +78,10 @@ __all__ = [
     "default_chunk_size",
     "fingerprint_of",
     "mean",
-    "merge_shard_columns",
     "merge_shard_reports",
     "merge_telemetry",
     "ordered",
     "parallel_map",
-    "read_columns",
-    "release_columns",
-    "release_shard_columns",
     "replicate_seeds",
     "resolve_jobs",
     "run_dca_shard",
@@ -103,7 +92,5 @@ __all__ = [
     "run_volunteer_problems",
     "shard_seeds",
     "shard_specs",
-    "shm_available",
     "stderr",
-    "write_columns",
 ]

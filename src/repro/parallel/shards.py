@@ -24,20 +24,8 @@ them in **position order** (:func:`merge_shard_reports`), and
 :func:`~repro.parallel.reducer.combined_fingerprint` gives the whole
 computation one checksum.  ``jobs=N`` is therefore byte-identical to
 ``jobs=1`` for the same shard count -- the property the ``scale`` bench
-suites gate in CI.
-
-Two transports move shard results back to the parent:
-
-* ``transport="pickle"`` (default): envelope metrics only, a few hundred
-  bytes per shard -- metrics and fingerprints exactly as always.
-* ``transport="shm"``: additionally ships each shard's per-task columns
-  (response times, jobs, waves, correctness) out of band through
-  :mod:`repro.parallel.shm`, leaving the pickle channel and the
-  envelope fingerprints untouched.  :func:`merge_shard_reports` then
-  reduces the columns incrementally -- one shard's block attached,
-  folded into running accumulators, and unlinked before the next -- and
-  cross-checks the column-derived counters against the metric-derived
-  ones.
+suites gate in CI.  Shards return metrics only, a few hundred bytes
+each.
 
 Each shard runs the columnar engine by default (``engine="columnar"``)
 and falls back to the object DES with ``engine="des"`` for
@@ -48,42 +36,26 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.distributions import ReliabilityDistribution
 from repro.core.strategy import RedundancyStrategy
-from repro.dca import DcaConfig, run_columnar_dca, run_columnar_dca_columns, run_dca
-from repro.obs.context import current_sink
-from repro.obs.recorder import TelemetryRecorder
-from repro.parallel.engine import ReplicateError, parallel_map
-from repro.parallel.envelope import ReplicateEnvelope, fingerprint_of
+from repro.dca import DcaConfig, run_columnar_dca, run_dca
+from repro.parallel.engine import parallel_map
+from repro.parallel.envelope import (
+    RawResult,
+    ReplicateEnvelope,
+    fan_out,
+    raw_result,
+    worker_recorder,
+)
 from repro.parallel.reducer import combined_fingerprint, merge_telemetry, ordered
 from repro.parallel.seeds import shard_seeds
-from repro.parallel.shm import (
-    ColumnBlockHandle,
-    read_columns,
-    release_columns,
-    shm_available,
-    write_columns,
-)
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 #: Shard engines: columnar for scale, the object DES for full generality.
 SHARD_ENGINES = ("columnar", "des")
-
-#: Result transports: metrics-only pickle, or out-of-band shared memory.
-SHARD_TRANSPORTS = ("pickle", "shm")
-
-#: Per-worker telemetry caps, as in :mod:`repro.parallel.dca`.
-_WORKER_SPAN_CAP = 10_000
-_WORKER_EVENT_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -94,9 +66,7 @@ class ShardSpec:
     already split by :func:`shard_specs`; ``seed`` is the shard's
     spawn-derived root seed.  ``overrides`` carries extra
     :class:`~repro.dca.DcaConfig` fields as a sorted tuple of pairs
-    (churn rates already scaled to the shard's pool share).  With
-    ``columns`` set the worker also exports its per-task result columns
-    through shared memory.
+    (churn rates already scaled to the shard's pool share).
     """
 
     seed: int
@@ -107,26 +77,12 @@ class ShardSpec:
     engine: str = "columnar"
     overrides: Tuple[Tuple[str, Any], ...] = ()
     telemetry: bool = False
-    columns: bool = False
 
     def __post_init__(self) -> None:
         if self.engine not in SHARD_ENGINES:
             raise ValueError(
                 f"unknown shard engine {self.engine!r}; choose from {SHARD_ENGINES}"
             )
-
-
-@dataclass(frozen=True)
-class _RawShard:
-    """What the worker ships back (position is attached by the parent)."""
-
-    seed: int
-    metrics: dict
-    fingerprint: str
-    duration: float
-    worker_pid: int
-    telemetry: Optional[dict] = None
-    columns: Optional[ColumnBlockHandle] = None
 
 
 def _split(total: int, shards: int) -> List[int]:
@@ -215,36 +171,16 @@ def _regime_metrics(report, config: DcaConfig) -> Dict[str, Any]:
     return extras
 
 
-def _report_columns(report, spec_engine: str):
-    """Per-task result columns in task-id order, engine-independent."""
-    if spec_engine == "columnar":
-        return None  # the columnar engine hands them over directly
-    order = sorted(report.records, key=lambda record: record.task_id)
-    return {
-        "response_time": np.asarray(
-            [record.response_time for record in order], dtype=np.float64
-        ),
-        "jobs_used": np.asarray([record.jobs_used for record in order], dtype=np.int64),
-        "waves": np.asarray([record.waves for record in order], dtype=np.int64),
-        "correct": np.asarray([record.correct for record in order], dtype=bool),
-    }
-
-
-def run_dca_shard(spec: ShardSpec) -> _RawShard:
+def run_dca_shard(spec: ShardSpec) -> RawResult:
     """Execute one shard (the module-level, picklable worker).
 
     The shard's metrics are its report's ``as_dict()`` plus the extensive
     counters (``tasks_correct``, ``total_jobs``, ``jobs_timed_out``, and
     per-regime extras) the cross-shard reduction needs to merge exactly
-    rather than from rounded means.  With ``spec.columns`` the per-task
-    columns additionally go out through shared memory.
+    rather than from rounded means.
     """
     start = time.perf_counter()
-    recorder = None
-    if spec.telemetry:
-        recorder = TelemetryRecorder(
-            max_spans=_WORKER_SPAN_CAP, max_events=_WORKER_EVENT_CAP
-        )
+    recorder = worker_recorder(spec.telemetry)
     config = DcaConfig(
         strategy=copy.deepcopy(spec.strategy),
         tasks=spec.tasks,
@@ -253,30 +189,16 @@ def run_dca_shard(spec: ShardSpec) -> _RawShard:
         seed=spec.seed,
         **dict(spec.overrides),
     )
-    columns = None
     if spec.engine == "columnar":
-        if spec.columns:
-            report, columns = run_columnar_dca_columns(config, recorder=recorder)
-        else:
-            report = run_columnar_dca(config, recorder=recorder)
+        report = run_columnar_dca(config, recorder=recorder)
     else:
         report = run_dca(config, recorder=recorder)
-        if spec.columns:
-            columns = _report_columns(report, spec.engine)
     metrics = report.as_dict()
     metrics["tasks_correct"] = report.tasks_correct
     metrics["total_jobs"] = report.total_jobs
     metrics["jobs_timed_out"] = report.jobs_timed_out
     metrics.update(_regime_metrics(report, config))
-    return _RawShard(
-        seed=spec.seed,
-        metrics=metrics,
-        fingerprint=fingerprint_of(metrics),
-        duration=time.perf_counter() - start,
-        worker_pid=os.getpid(),
-        telemetry=recorder.as_payload() if recorder is not None else None,
-        columns=write_columns(columns) if columns is not None else None,
-    )
+    return raw_result(spec.seed, metrics, start, recorder)
 
 
 def run_dca_shards(
@@ -284,7 +206,6 @@ def run_dca_shards(
     *,
     jobs: Optional[int] = 1,
     chunk_size: Optional[int] = None,
-    transport: str = "pickle",
 ) -> List[ReplicateEnvelope]:
     """Run the shards (serial or fanned out) and envelope the results.
 
@@ -295,61 +216,19 @@ def run_dca_shards(
     :class:`~repro.obs.TelemetrySink` transparently upgrades the specs
     to record telemetry, without perturbing metrics or fingerprints.
 
-    ``transport="shm"`` additionally ships per-task columns out of band
-    (POSIX shared memory; see :mod:`repro.parallel.shm`); the envelopes
-    then carry column handles whose segments the merge -- or
-    :func:`release_shard_columns` -- must release.
-
     Raises:
         ReplicateError: naming the failed shard's position and seed when
             any shard crashes.
     """
-    if transport not in SHARD_TRANSPORTS:
-        raise ValueError(
-            f"unknown shard transport {transport!r}; choose from {SHARD_TRANSPORTS}"
-        )
-    specs = list(specs)
-    if transport == "shm":
-        if not shm_available():
-            raise RuntimeError(
-                "transport='shm' needs numpy and multiprocessing.shared_memory "
-                "(POSIX); use transport='pickle'"
-            )
-        specs = [replace(spec, columns=True) for spec in specs]
-    sink = current_sink()
-    if sink is not None and specs and not any(spec.telemetry for spec in specs):
-        specs = [replace(spec, telemetry=True) for spec in specs]
-    try:
-        raws = parallel_map(run_dca_shard, specs, jobs=jobs, chunk_size=chunk_size)
-    except ReplicateError as exc:
-        if 0 <= exc.position < len(specs):
-            failed = specs[exc.position]
-            raise ReplicateError(
-                f"shard #{exc.position} (seed {failed.seed}, "
-                f"strategy {failed.strategy.describe()}) failed: "
-                f"{exc.error_type}: {exc}",
-                position=exc.position,
-                error_type=exc.error_type,
-                traceback_text=exc.traceback_text,
-            ) from exc
-        raise
-    envelopes = [
-        ReplicateEnvelope(
-            position=position,
-            seed=raw.seed,
-            metrics=raw.metrics,
-            fingerprint=raw.fingerprint,
-            duration=raw.duration,
-            worker_pid=raw.worker_pid,
-            telemetry=raw.telemetry,
-            columns=raw.columns,
-        )
-        for position, raw in enumerate(raws)
-    ]
-    if sink is not None and envelopes:
-        label = f"{specs[0].strategy.describe()} sharded x{len(specs)}"
-        sink.add_run(label, merge_telemetry(envelopes))
-    return envelopes
+    return fan_out(
+        lambda specs: parallel_map(
+            run_dca_shard, specs, jobs=jobs, chunk_size=chunk_size
+        ),
+        specs,
+        noun="shard",
+        merge=merge_telemetry,
+        label="sharded ",
+    )
 
 
 #: Extensive per-regime counters that sum across shards when present.
@@ -379,13 +258,6 @@ def merge_shard_reports(envelopes: Sequence[ReplicateEnvelope]) -> Dict[str, Any
       finishes when the slowest shard does;
     * ``checksum`` is :func:`~repro.parallel.reducer.combined_fingerprint`
       over the shard fingerprints, the identity the bench suites gate.
-
-    When the envelopes carry shared-memory column handles
-    (``transport="shm"``), the columns are reduced incrementally --
-    one shard's block attached, folded into running accumulators in
-    place, and unlinked before the next -- and the column-derived
-    counters are cross-checked against the metric-derived ones; the
-    exact column aggregates land under ``"columns"``.
     """
     if not envelopes:
         raise ValueError("cannot merge zero shard envelopes")
@@ -424,76 +296,4 @@ def merge_shard_reports(envelopes: Sequence[ReplicateEnvelope]) -> Dict[str, Any
     for key in _REGIME_SUM_KEYS:
         if all(key in shard for shard in metrics):
             merged[key] = sum(shard[key] for shard in metrics)
-    if any(envelope.columns is not None for envelope in by_position):
-        merged["columns"] = merge_shard_columns(by_position, expected=merged)
     return merged
-
-
-def merge_shard_columns(
-    envelopes: Sequence[ReplicateEnvelope],
-    *,
-    expected: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Reduce shared-memory shard columns into exact aggregates.
-
-    Walks the envelopes in position order, attaching one shard's block
-    at a time, folding it into running accumulators, and unlinking the
-    segment before touching the next -- peak memory is a single shard's
-    columns, whatever the shard count.  With ``expected`` (a merged
-    metrics dict) the integer counters are cross-checked against the
-    metric-derived values, so a transport bug cannot silently skew the
-    numbers.
-
-    Raises:
-        ValueError: if an envelope carries no column handle, or the
-            cross-check against ``expected`` fails.
-    """
-    by_position = ordered(envelopes)
-    tasks = 0
-    tasks_correct = 0
-    total_jobs = 0
-    max_jobs = 0
-    waves_total = 0
-    response_sum = 0.0
-    max_response = math.nan
-    for envelope in by_position:
-        if envelope.columns is None:
-            raise ValueError(
-                f"shard #{envelope.position} carries no column handle; "
-                "was it run with transport='shm'?"
-            )
-        block = read_columns(envelope.columns)  # copies out, then unlinks
-        count = int(block["response_time"].shape[0])
-        tasks += count
-        if not count:
-            continue
-        tasks_correct += int(block["correct"].sum())
-        total_jobs += int(block["jobs_used"].sum())
-        max_jobs = max(max_jobs, int(block["jobs_used"].max()))
-        waves_total += int(block["waves"].sum())
-        response_sum += float(block["response_time"].sum())
-        shard_max = float(block["response_time"].max())
-        max_response = shard_max if math.isnan(max_response) else max(max_response, shard_max)
-    aggregates = {
-        "tasks": tasks,
-        "tasks_correct": tasks_correct,
-        "total_jobs": total_jobs,
-        "max_jobs": max_jobs,
-        "mean_response_time": response_sum / tasks if tasks else math.nan,
-        "max_response_time": max_response,
-        "mean_waves": waves_total / tasks if tasks else math.nan,
-    }
-    if expected is not None:
-        for key in ("tasks", "tasks_correct", "total_jobs", "max_jobs"):
-            if aggregates[key] != expected[key]:
-                raise ValueError(
-                    f"shared-memory column reduction disagrees with shard "
-                    f"metrics on {key}: {aggregates[key]} != {expected[key]}"
-                )
-    return aggregates
-
-
-def release_shard_columns(envelopes: Sequence[ReplicateEnvelope]) -> None:
-    """Unlink every envelope's column segment without reading (cleanup)."""
-    for envelope in envelopes:
-        release_columns(envelope.columns)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.strategy import RedundancyStrategy
-from repro.parallel.engine import ReplicateError, parallel_map
-from repro.parallel.envelope import ReplicateEnvelope, fingerprint_of
+from repro.parallel.engine import parallel_map
+from repro.parallel.envelope import RawResult, ReplicateEnvelope, fan_out, raw_result
 from repro.volunteer import PlanetLabTestbed, VolunteerConfig, run_volunteer
 
 
@@ -33,16 +32,7 @@ class VolunteerProblemSpec:
     tasks: int
 
 
-@dataclass(frozen=True)
-class _RawProblem:
-    seed: int
-    metrics: dict
-    fingerprint: str
-    duration: float
-    worker_pid: int
-
-
-def run_volunteer_problem(spec: VolunteerProblemSpec) -> _RawProblem:
+def run_volunteer_problem(spec: VolunteerProblemSpec) -> RawResult:
     """Execute one volunteer problem (module-level, picklable worker)."""
     start = time.perf_counter()
     report = run_volunteer(
@@ -62,13 +52,7 @@ def run_volunteer_problem(spec: VolunteerProblemSpec) -> _RawProblem:
     )
     metrics["problem_correct"] = report.problem_correct
     metrics["deadline_misses"] = report.deadline_misses
-    return _RawProblem(
-        seed=spec.seed,
-        metrics=metrics,
-        fingerprint=fingerprint_of(metrics),
-        duration=time.perf_counter() - start,
-        worker_pid=os.getpid(),
-    )
+    return raw_result(spec.seed, metrics, start)
 
 
 def run_volunteer_problems(
@@ -78,31 +62,10 @@ def run_volunteer_problems(
     chunk_size: Optional[int] = None,
 ) -> List[ReplicateEnvelope]:
     """Run volunteer problems (serial or fanned out) into envelopes."""
-    specs = list(specs)
-    try:
-        raws = parallel_map(
+    return fan_out(
+        lambda specs: parallel_map(
             run_volunteer_problem, specs, jobs=jobs, chunk_size=chunk_size
-        )
-    except ReplicateError as exc:
-        if 0 <= exc.position < len(specs):
-            failed = specs[exc.position]
-            raise ReplicateError(
-                f"volunteer problem #{exc.position} (seed {failed.seed}, "
-                f"strategy {failed.strategy.describe()}) failed: "
-                f"{exc.error_type}: {exc}",
-                position=exc.position,
-                error_type=exc.error_type,
-                traceback_text=exc.traceback_text,
-            ) from exc
-        raise
-    return [
-        ReplicateEnvelope(
-            position=position,
-            seed=raw.seed,
-            metrics=raw.metrics,
-            fingerprint=raw.fingerprint,
-            duration=raw.duration,
-            worker_pid=raw.worker_pid,
-        )
-        for position, raw in enumerate(raws)
-    ]
+        ),
+        specs,
+        noun="volunteer problem",
+    )

@@ -88,9 +88,6 @@ class TestSuites:
         assert "timings_ungated" in payload["results"]
         assert payload["below_des_floor"] is False
         assert payload["results"]["speedup_vs_des"] > 0
-        merged = payload["results"]["merged"]
-        if payload["params"]["transport"] == "shm":
-            assert merged["columns"]["tasks"] == merged["tasks"]
         again = run_suite(name, seed=1, quick=True, repeats=1)
         assert again["checksum"] == payload["checksum"]
 

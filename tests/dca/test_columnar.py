@@ -29,7 +29,6 @@ from repro.dca import (
     DcaConfig,
     NonColludingFailures,
     run_columnar_dca,
-    run_columnar_dca_columns,
     run_dca,
 )
 from repro.dca.columnar import (
@@ -362,30 +361,6 @@ class TestMaxTimeRegime:
         assert columnar.jobs_timed_out > 0
         assert columnar.jobs_timed_out == pytest.approx(des.jobs_timed_out, rel=0.15)
         assert columnar.tasks_completed == pytest.approx(des.tasks_completed, rel=0.15)
-
-
-class TestResultColumns:
-    """run_columnar_dca_columns: the shm transport's raw material."""
-
-    def test_columns_are_consistent_with_the_report(self):
-        report, columns = run_columnar_dca_columns(_config(IterativeRedundancy(3)))
-        assert report == run_columnar_dca(_config(IterativeRedundancy(3)))
-        assert set(columns) == {"response_time", "jobs_used", "waves", "correct"}
-        for column in columns.values():
-            assert column.shape[0] == report.tasks_completed
-        assert int(columns["correct"].sum()) == report.tasks_correct
-        assert int(columns["jobs_used"].sum()) == report.total_jobs
-        assert int(columns["jobs_used"].max()) == report.max_jobs_per_task
-        assert float(columns["response_time"].max()) == report.max_response_time
-        assert float(
-            columns["response_time"].sum()
-        ) / report.tasks_completed == pytest.approx(report.mean_response_time)
-
-    def test_columns_cover_completed_tasks_only_under_horizon(self):
-        config = _config(IterativeRedundancy(3), tasks=400, nodes=6_000, max_time=2.8)
-        report, columns = run_columnar_dca_columns(config)
-        assert 0 < report.tasks_completed < 400
-        assert columns["response_time"].shape[0] == report.tasks_completed
 
 
 class TestEdgeRegimes:

@@ -1,7 +1,10 @@
 # reprolint: disable-file=RL003 -- the point of this suite is byte-exact serial/parallel equality
 """Determinism equivalence: ``jobs=4`` must be indistinguishable from
 ``jobs=1`` for every technique, per replicate and in aggregate, and a
-crashing worker must surface a clear error naming the replicate seed."""
+crashing worker must surface a clear error naming the failed item's
+seed -- in every runner that fans out through the shared skeleton."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -12,11 +15,16 @@ from repro.core import (
 )
 from repro.parallel import (
     ReplicateError,
+    VolunteerProblemSpec,
     aggregate_metrics,
     combined_fingerprint,
     dca_replicate_specs,
     run_dca_replicates,
+    run_dca_shards,
+    run_volunteer_problems,
+    shard_specs,
 )
+from repro.volunteer import PlanetLabTestbed
 
 SWEEP = [
     ("IR", lambda: IterativeRedundancy(2)),
@@ -56,21 +64,63 @@ class ExplodingStrategy(IterativeRedundancy):
         raise RuntimeError("injected replicate failure")
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_worker_crash_names_replicate_seed(jobs):
-    specs = dca_replicate_specs(
-        lambda: ExplodingStrategy(2),
+def _replicate_specs():
+    return dca_replicate_specs(
+        lambda: IterativeRedundancy(2),
         tasks=10,
         nodes=10,
         reliability=0.7,
-        replications=2,
+        replications=3,
         seed=5,
     )
+
+
+def _shard_specs():
+    return shard_specs(
+        lambda: IterativeRedundancy(2),
+        tasks=30,
+        nodes=12,
+        reliability=0.7,
+        shards=3,
+        seed=5,
+        engine="des",  # the columnar engine never calls decide()
+    )
+
+
+def _volunteer_specs():
+    testbed = PlanetLabTestbed(nodes=20)
+    return [
+        VolunteerProblemSpec(
+            seed=5_000 + problem,
+            strategy=IterativeRedundancy(2),
+            testbed=testbed,
+            sat_vars=6,
+            tasks=8,
+        )
+        for problem in range(3)
+    ]
+
+
+RUNNERS = [
+    ("replicate", _replicate_specs, run_dca_replicates),
+    ("shard", _shard_specs, run_dca_shards),
+    ("volunteer problem", _volunteer_specs, run_volunteer_problems),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "noun,make_specs,runner", RUNNERS, ids=[runner.__name__ for _, _, runner in RUNNERS]
+)
+def test_worker_crash_names_replicate_seed(noun, make_specs, runner, jobs):
+    specs = make_specs()
+    # Only the middle item explodes, so the error must name position 1.
+    specs[1] = replace(specs[1], strategy=ExplodingStrategy(2))
     with pytest.raises(ReplicateError) as excinfo:
-        run_dca_replicates(specs, jobs=jobs)
+        runner(specs, jobs=jobs)
     message = str(excinfo.value)
-    assert excinfo.value.position == 0
-    assert f"seed {specs[0].seed}" in message
+    assert excinfo.value.position == 1
+    assert message.startswith(f"{noun} #1 (seed {specs[1].seed}, ")
     assert "injected replicate failure" in message
     assert excinfo.value.error_type == "RuntimeError"
     # The worker's traceback travels home for debugging.

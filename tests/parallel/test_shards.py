@@ -14,12 +14,10 @@ from repro.parallel import (
     combined_fingerprint,
     fingerprint_of,
     merge_shard_reports,
-    release_shard_columns,
     replicate_seeds,
     run_dca_shards,
     shard_seeds,
     shard_specs,
-    shm_available,
 )
 from repro.parallel.shards import _split
 
@@ -267,45 +265,3 @@ class TestRegimeShards:
         fanned = run_dca_shards(_specs(**overrides), jobs=4)
         assert [e.metrics for e in serial] == [e.metrics for e in fanned]
         assert combined_fingerprint(serial) == combined_fingerprint(fanned)
-
-
-@pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
-class TestShmTransport:
-    """transport='shm' ships columns out of band: fingerprints stay
-    identical to the pickle transport, jobs=N to jobs=1, and the
-    incremental column reduction agrees with the metric-derived merge."""
-
-    @pytest.mark.parametrize("engine", ["columnar", "des"])
-    def test_fingerprints_match_pickle_transport(self, engine):
-        pickled = run_dca_shards(_specs(engine=engine), jobs=1)
-        shipped = run_dca_shards(_specs(engine=engine), jobs=1, transport="shm")
-        assert [e.fingerprint for e in pickled] == [e.fingerprint for e in shipped]
-        merged = merge_shard_reports(shipped)
-        columns = merged.pop("columns")
-        assert merged == merge_shard_reports(pickled)
-        assert columns["tasks"] == merged["tasks"]
-        assert columns["tasks_correct"] == merged["tasks_correct"]
-        assert columns["total_jobs"] == merged["total_jobs"]
-        assert columns["max_jobs"] == merged["max_jobs"]
-        assert columns["mean_response_time"] == pytest.approx(
-            merged["mean_response_time"]
-        )
-
-    def test_fanned_equals_serial_over_shm(self):
-        serial = merge_shard_reports(run_dca_shards(_specs(), jobs=1, transport="shm"))
-        fanned = merge_shard_reports(run_dca_shards(_specs(), jobs=4, transport="shm"))
-        assert serial == fanned
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            run_dca_shards(_specs(), jobs=1, transport="carrier-pigeon")
-
-    def test_release_without_merge_cleans_up(self):
-        envelopes = run_dca_shards(_specs(), jobs=2, transport="shm")
-        release_shard_columns(envelopes)
-        # Idempotent: the segments are already gone.
-        release_shard_columns(envelopes)
-
-    def test_pickle_transport_carries_no_columns(self):
-        for envelope in run_dca_shards(_specs(), jobs=1):
-            assert envelope.columns is None
