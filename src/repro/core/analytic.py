@@ -1,12 +1,13 @@
-"""Closed-form fast path: predict DES sweep measurements analytically.
+"""Closed-form predictions of DES sweep measurements.
 
 Figures 5 and 6 compare simulation against Equations (1)-(6); for the
 paper's idealised regime (homogeneous reliability, no churn, no silent
 nodes) those closed forms *are* the model the simulation samples.  This
 module packages them behind the same vocabulary the experiment harness
-uses -- a strategy instance in, a measurement out -- so sweeps can swap a
-multi-second DES replication for a microsecond closed-form evaluation
-(``mode="analytic"`` in :func:`repro.experiments.common.replicate_dca`).
+uses -- a strategy instance in, a prediction out -- so a microsecond
+closed-form evaluation can be set beside a
+:func:`repro.experiments.common.replicate_dca` measurement of the same
+strategy.
 
 The mapping is strategy-class driven:
 
@@ -21,10 +22,11 @@ Strategy                         Closed forms (all from :mod:`repro.core.analysi
 ``NoRedundancy``                 The ``k = 1`` degenerate case
 ===============================  =============================================
 
-Anything else -- node-aware strategies whose behaviour depends on history,
-or DES configurations the equations do not model (churn, silent nodes,
-load) -- raises :class:`ValueError` rather than returning a silently wrong
-number.  Response times use the *unloaded* model of
+Anything else -- node-aware strategies whose behaviour depends on history
+-- raises :class:`ValueError` rather than returning a silently wrong
+number.  The predictions hold only for DES configurations the equations
+model: no churn, no silent nodes, homogeneous node speeds, no spot
+checks.  Response times use the *unloaded* model of
 :func:`repro.core.analysis.expected_response_time` (every wave starts
 immediately); simulations with fewer nodes than the offered load will
 measure higher values, which is exactly the effect Figure 6 isolates.
@@ -50,15 +52,8 @@ from repro.core.traditional import TraditionalRedundancy
 __all__ = [
     "AnalyticPrediction",
     "analytic_prediction",
-    "check_analytic_overrides",
     "supports_analytic",
 ]
-
-#: DcaConfig overrides the closed forms can honour.  Everything else
-#: (churn, silent nodes, heterogeneous speeds, spot checks...) changes the
-#: sampled process away from Equations (1)-(6).
-_SUPPORTED_OVERRIDES = frozenset({"duration_low", "duration_high"})
-
 
 @dataclass(frozen=True)
 class AnalyticPrediction:
@@ -165,24 +160,7 @@ def analytic_prediction(
             strategy_name=strategy.describe(),
         )
     raise ValueError(
-        f"no closed form for {strategy.describe()!r}: analytic mode covers "
+        f"no closed form for {strategy.describe()!r}: the closed forms cover "
         "traditional, progressive, and iterative redundancy only"
     )
 
-
-def check_analytic_overrides(config_overrides: dict) -> None:
-    """Reject DES configuration the closed forms cannot honour.
-
-    The equations assume no churn, no silent nodes, homogeneous node
-    speeds, and no spot-check diversion; overrides that merely restate a
-    default (e.g. ``arrival_rate=0.0``) are fine.
-    """
-    for key, value in config_overrides.items():
-        if key in _SUPPORTED_OVERRIDES:
-            continue
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and value == 0:
-            continue  # explicit zero = the modelled default
-        raise ValueError(
-            f"analytic mode cannot model config override {key}={value!r}; "
-            "run mode='sim' for churned/loaded/heterogeneous configurations"
-        )

@@ -40,7 +40,7 @@ from repro.obs.names import (
     DCA_TIMEOUTS,
     DCA_WAVE_SIZE,
 )
-from repro.obs.recorder import Recorder, TeeRecorder, active
+from repro.obs.recorder import Recorder, active
 from repro.sim.engine import Simulator, StopSimulation
 from repro.sim.streams import DURATIONS, FAILURES, NODE_SELECTION, SPOT_CHECKS
 from repro.sim.events import Event
@@ -161,22 +161,6 @@ class TaskServer:
         self._recorder = active(recorder if recorder is not None else sim.recorder)
         self._strategy_label = strategy.describe() if self._recorder is not None else ""
 
-    def attach_recorder(self, recorder: Optional[Recorder]) -> None:
-        """Attach ``recorder`` (teeing onto any recorder already set).
-
-        This is how :func:`repro.dca.tracing.instrument_server` hooks a
-        legacy :class:`~repro.dca.tracing.TraceLog` onto the unified
-        telemetry stream after construction.
-        """
-        recorder = active(recorder)
-        if recorder is None:
-            return
-        if self._recorder is None:
-            self._recorder = recorder
-        else:
-            self._recorder = TeeRecorder(self._recorder, recorder)
-        self._strategy_label = self.strategy.describe()
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -195,7 +179,8 @@ class TaskServer:
         rec = self._recorder
         if rec is not None:
             # Before the first wave enqueues, so submit precedes its
-            # dispatches in the stream (matching the legacy trace order).
+            # dispatches in the stream (the order the golden trace
+            # fingerprints pin).
             rec.span_begin(DCA_TASK_SPAN, task.task_id, self.sim.now, {"task": task.task_id})
             rec.count(DCA_SUBMITS)
         self._enqueue_jobs(state, self.strategy.initial_jobs())
@@ -405,8 +390,8 @@ class TaskServer:
             self._enqueue_jobs(state, decision.more_jobs, followup=True)
             if rec is not None:
                 # After the wave enqueues (and possibly assigns), so the
-                # new dispatches precede the decide event -- the exact
-                # order the legacy monkey-patch tracer produced.
+                # new dispatches precede the decide event -- the order
+                # the golden trace fingerprints pin.
                 rec.event(
                     DCA_DECIDE_EVENT,
                     self.sim.now,

@@ -3,8 +3,9 @@
 The static rules in :mod:`repro.lint.rules` catch the *sources* of
 nondeterminism they know about; this module catches the symptom directly.
 A :class:`DeterminismSanitizer` executes the same experiment several
-times from the same seed, captures each run's :class:`~repro.dca.tracing.TraceLog`
-event stream and final metrics, and reports the **first diverging event**
+times from the same seed, captures each run's job-lifecycle trace (the
+task server's :mod:`repro.obs` spans and events, rendered as canonical
+text lines) and final metrics, and reports the **first diverging event**
 -- the exact simulated time and payload where replay broke, which is
 usually within a few events of the offending draw.
 
@@ -27,12 +28,14 @@ from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 from repro.dca.config import DcaConfig
 from repro.dca.report import DcaReport
 from repro.dca.simulation import DcaSimulation
-from repro.dca.tracing import DECIDE, TraceEvent, TraceLog, instrument_server
 from repro.grid.run import GridConfig, run_grid
 from repro.mapreduce.engine import MapReduceJob, run_mapreduce
+from repro.obs.names import DCA_DECIDE_EVENT, DCA_JOB_SPAN, DCA_TASK_SPAN
+from repro.obs.recorder import Recorder
 
-#: One run's observable outcome: the trace stream and the final metrics.
-RunCapture = Tuple[Sequence[TraceEvent], Mapping[str, Any]]
+#: One run's observable outcome: the canonical trace lines and the final
+#: metrics.
+RunCapture = Tuple[Sequence[str], Mapping[str, Any]]
 Runner = Callable[[], RunCapture]
 
 
@@ -40,15 +43,54 @@ class DeterminismError(AssertionError):
     """Raised by :meth:`SanitizerReport.raise_if_diverged` on divergence."""
 
 
-def canonical_event(event: TraceEvent) -> str:
-    """A stable, byte-comparable rendering of one trace event."""
-    detail = ",".join(f"{key}={event.detail[key]!r}" for key in sorted(event.detail))
-    return f"t={event.time!r} {event.kind} task={event.task_id} [{detail}]"
+def _trace_line(time: float, kind: str, task: int, detail: Mapping[str, Any]) -> str:
+    """One trace event as stable, byte-comparable text:
+    ``t=<time!r> <kind> task=<id> [k=v!r,...]`` with keys sorted."""
+    body = ",".join(f"{key}={detail[key]!r}" for key in sorted(detail))
+    return f"t={time!r} {kind} task={task} [{body}]"
 
 
-def trace_fingerprint(events: Sequence[TraceEvent]) -> str:
+def trace_fingerprint(lines: Sequence[str]) -> str:
     """Canonical text for a whole stream (byte-identical iff streams are)."""
-    return "\n".join(canonical_event(event) for event in events)
+    return "\n".join(lines)
+
+
+class _TraceLines(Recorder):
+    """Renders the task server's lifecycle telemetry as trace lines.
+
+    ``dca.task`` begin/end become ``submit``/``accept``, ``dca.job``
+    begin/end become ``dispatch`` and ``complete`` or ``timeout`` (by the
+    ``outcome`` attr), and each ``dca.decide`` event becomes ``decide``.
+    The ``task`` and ``outcome`` attrs are folded into the line's envelope;
+    every other attr is detail.  Metrics are ignored.
+    """
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+
+    def _add(self, time: float, kind: str, attrs: Optional[Mapping[str, Any]]) -> None:
+        attrs = attrs or {}
+        detail = {key: value for key, value in attrs.items() if key not in ("task", "outcome")}
+        self.lines.append(_trace_line(time, kind, attrs.get("task", -1), detail))
+
+    def span_begin(self, name, key, time, attrs=None):
+        if name == DCA_TASK_SPAN:
+            self._add(time, "submit", attrs)
+        elif name == DCA_JOB_SPAN:
+            self._add(time, "dispatch", attrs)
+
+    def span_end(self, name, key, time, attrs=None):
+        if name == DCA_TASK_SPAN:
+            self._add(time, "accept", attrs)
+        elif name == DCA_JOB_SPAN:
+            outcome = (attrs or {}).get("outcome")
+            self._add(time, "complete" if outcome == "complete" else "timeout", attrs)
+
+    def event(self, name, time, attrs=None):
+        if name == DCA_DECIDE_EVENT:
+            self._add(time, "decide", attrs)
 
 
 @dataclass(frozen=True)
@@ -112,12 +154,7 @@ def diff_captures(reference: RunCapture, observed: RunCapture) -> Optional[Diver
     obs_events, obs_metrics = observed
     for index, (expected, got) in enumerate(zip(ref_events, obs_events)):
         if expected != got:
-            return Divergence(
-                kind="event",
-                index=index,
-                expected=canonical_event(expected),
-                observed=canonical_event(got),
-            )
+            return Divergence(kind="event", index=index, expected=expected, observed=got)
     if len(ref_events) != len(obs_events):
         index = min(len(ref_events), len(obs_events))
         longer = ref_events if len(ref_events) > len(obs_events) else obs_events
@@ -125,7 +162,7 @@ def diff_captures(reference: RunCapture, observed: RunCapture) -> Optional[Diver
             kind="length",
             index=index,
             expected=f"{len(ref_events)} events",
-            observed=canonical_event(longer[index]),
+            observed=longer[index],
         )
     if dict(ref_metrics) != dict(obs_metrics):
         changed = sorted(
@@ -147,7 +184,7 @@ class DeterminismSanitizer:
 
     Args:
         runner: Zero-argument callable executing one *fresh* run and
-            returning ``(trace events, final metrics)``.  The runner must
+            returning ``(trace lines, final metrics)``.  The runner must
             rebuild all state per call -- the sanitizer cannot detect
             state smuggled between runs through shared objects.
         runs: Total executions (>= 2).
@@ -174,7 +211,7 @@ class DeterminismSanitizer:
         return SanitizerReport(ok=True, runs=self.runs, events_compared=len(reference[0]))
 
 
-def dca_runner(config: DcaConfig, *, trace_capacity: Optional[int] = None) -> Runner:
+def dca_runner(config: DcaConfig) -> Runner:
     """A :class:`DeterminismSanitizer` runner for one DCA configuration.
 
     The config (including its strategy, which may carry reputation state)
@@ -182,41 +219,33 @@ def dca_runner(config: DcaConfig, *, trace_capacity: Optional[int] = None) -> Ru
     """
 
     def run() -> RunCapture:
-        sim = DcaSimulation(copy.deepcopy(config))
-        log = instrument_server(sim.server, TraceLog(capacity=trace_capacity))
-        report = sim.run()
-        events: List[TraceEvent] = list(log)
-        return events, report.as_dict()
+        trace = _TraceLines()
+        report = DcaSimulation(copy.deepcopy(config), recorder=trace).run()
+        return trace.lines, report.as_dict()
 
     return run
 
 
-def sanitize_dca(
-    config: DcaConfig,
-    *,
-    runs: int = 2,
-    trace_capacity: Optional[int] = None,
-) -> SanitizerReport:
+def sanitize_dca(config: DcaConfig, *, runs: int = 2) -> SanitizerReport:
     """Run a DCA simulation ``runs`` times and diff traces and metrics."""
-    sanitizer = DeterminismSanitizer(dca_runner(config, trace_capacity=trace_capacity), runs=runs)
-    return sanitizer.check()
+    return DeterminismSanitizer(dca_runner(config), runs=runs).check()
 
 
-def _record_events(report: DcaReport) -> List[TraceEvent]:
-    """Synthetic DECIDE events from a report's per-task records.
+def _record_lines(report: DcaReport) -> List[str]:
+    """Synthetic ``decide`` lines from a report's per-task records.
 
     The grid and MapReduce substrates drive their simulations internally,
     so there is no server to instrument; the per-task records carry
     enough of the outcome (value, cost, timing) that byte-comparing them
-    as trace events catches any replay divergence in decision, ordering,
+    as trace lines catches any replay divergence in decision, ordering,
     scheduling, or timing.
     """
     return [
-        TraceEvent(
-            time=record.turnaround,
-            kind=DECIDE,
-            task_id=record.task_id,
-            detail={
+        _trace_line(
+            record.turnaround,
+            "decide",
+            record.task_id,
+            {
                 "value": record.value,
                 "correct": record.correct,
                 "jobs_used": record.jobs_used,
@@ -237,7 +266,7 @@ def grid_runner(config: GridConfig) -> Runner:
 
     def run() -> RunCapture:
         report = run_grid(copy.deepcopy(config))
-        return _record_events(report), report.as_dict()
+        return _record_lines(report), report.as_dict()
 
     return run
 
@@ -277,7 +306,7 @@ def mapreduce_runner(
         metrics["correct"] = report.correct
         metrics["corrupted_chunks"] = report.corrupted_chunks
         metrics["output"] = dict(report.output)
-        return _record_events(report.map_report), metrics
+        return _record_lines(report.map_report), metrics
 
     return run
 

@@ -1,10 +1,11 @@
 """Canonical telemetry names: one vocabulary for spans, events, metrics.
 
 Every instrumented layer refers to these constants instead of inline
-strings, so the complete telemetry schema is auditable in one place and
-the legacy :mod:`repro.dca.tracing` event kinds map onto it 1:1
-(``dca.task`` begin/end = submit/accept, ``dca.job`` begin/end =
-dispatch/complete-or-timeout, ``dca.decide`` = decide).
+strings, so the complete telemetry schema is auditable in one place.  The
+determinism sanitizer (:mod:`repro.lint.sanitizer`) renders the job
+lifecycle from this stream 1:1 (``dca.task`` begin/end = submit/accept,
+``dca.job`` begin/end = dispatch/complete-or-timeout, ``dca.decide`` =
+decide).
 """
 
 from __future__ import annotations

@@ -58,6 +58,11 @@ class TestProgressive:
         cost = A.progressive_cost(0.7, 19)
         assert cost == pytest.approx(14.2, abs=0.05)
         assert 19.0 / cost == pytest.approx(1.3, abs=0.05)
+        # Equation (3) still equals the wave DP past the property test's
+        # k <= 19 range.
+        assert A.progressive_cost(0.7, 39) == pytest.approx(
+            A.progressive_cost_dp(0.7, 39), rel=1e-9
+        )
 
     def test_k1_cost_is_one(self):
         assert A.progressive_cost(0.7, 1) == pytest.approx(1.0)

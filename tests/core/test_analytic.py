@@ -1,7 +1,6 @@
 # reprolint: disable-file=RL003 -- asserting that two closed-form evaluations are the *same* expression is the point
-"""The analytic fast path: closed-form self-consistency and, the part
-that earns it a place in sweeps, cross-validation against full DES
-replications.
+"""Closed-form predictions: self-consistency and cross-validation against
+full DES replications.
 
 Tolerances (documented in ``docs/performance.md``): in the idealised
 regime the equations model -- homogeneous reliability, no churn, ample
@@ -32,7 +31,6 @@ from repro.core import (
     analytic_prediction,
     supports_analytic,
 )
-from repro.core.analytic import check_analytic_overrides
 from repro.experiments.common import replicate_dca
 
 UNLOADED = dict(tasks=2000, nodes=4000, reliability=0.7, replications=2, seed=7)
@@ -84,18 +82,9 @@ class TestClosedFormConsistency:
         with pytest.raises(ValueError, match="no closed form"):
             analytic_prediction(AdaptiveReplication(), 0.7)
 
-    def test_unsupported_override_rejected(self):
-        with pytest.raises(ValueError, match="arrival_rate"):
-            check_analytic_overrides({"arrival_rate": 0.5})
-
-    def test_zero_valued_and_duration_overrides_accepted(self):
-        check_analytic_overrides(
-            {"arrival_rate": 0.0, "duration_low": 0.25, "duration_high": 2.0}
-        )
-
 
 class TestCrossValidationAgainstSimulation:
-    """mode="analytic" must predict what mode="sim" measures."""
+    """analytic_prediction must predict what replicate_dca measures."""
 
     @pytest.mark.parametrize(
         "factory",
@@ -107,28 +96,10 @@ class TestCrossValidationAgainstSimulation:
         ids=["TR5", "PR7", "IR3"],
     )
     def test_analytic_matches_unloaded_simulation(self, factory):
-        sim = replicate_dca(factory, mode="sim", **UNLOADED)
-        ana = replicate_dca(factory, mode="analytic", **UNLOADED)
-        assert ana.mean_reliability == pytest.approx(
-            sim.mean_reliability, abs=0.02
-        )
-        assert ana.mean_cost == pytest.approx(sim.mean_cost, rel=0.05)
+        sim = replicate_dca(factory, **UNLOADED)
+        ana = analytic_prediction(factory(), UNLOADED["reliability"])
+        assert ana.reliability == pytest.approx(sim.mean_reliability, abs=0.02)
+        assert ana.cost_factor == pytest.approx(sim.mean_cost, rel=0.05)
         assert ana.mean_response_time == pytest.approx(
             sim.mean_response_time, rel=0.10
         )
-        # Zero error bars: the closed form is exact, not sampled.
-        assert ana.reliability_err == 0.0
-        assert ana.cost_err == 0.0
-
-    def test_analytic_mode_rejects_churned_configuration(self):
-        with pytest.raises(ValueError, match="departure_rate"):
-            replicate_dca(
-                lambda: IterativeRedundancy(2),
-                mode="analytic",
-                departure_rate=0.5,
-                **UNLOADED,
-            )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            replicate_dca(lambda: IterativeRedundancy(2), mode="magic", **UNLOADED)

@@ -1,114 +1,80 @@
-"""Tests for job-lifecycle tracing."""
+"""Job-lifecycle trace invariants, checked on the determinism sanitizer's
+line capture of real DCA runs (one ``t=<time> <kind> task=<id> [...]``
+line per submit, dispatch, complete, timeout, decide and accept)."""
 
-import pytest
+from collections import Counter
 
 from repro.core import IterativeRedundancy, TraditionalRedundancy
 from repro.dca import DcaConfig, DcaSimulation
-from repro.dca.tracing import (
-    ACCEPT,
-    COMPLETE,
-    DECIDE,
-    DISPATCH,
-    SUBMIT,
-    TIMEOUT,
-    TraceEvent,
-    TraceLog,
-    instrument_server,
-)
+from repro.lint.sanitizer import _TraceLines
 
 
-def run_traced(strategy, capacity=None, **overrides):
+def run_traced(strategy, **overrides):
     defaults = dict(strategy=strategy, tasks=20, nodes=10, reliability=0.7, seed=2)
     defaults.update(overrides)
-    simulation = DcaSimulation(DcaConfig(**defaults))
-    log = instrument_server(simulation.server, TraceLog(capacity=capacity))
-    report = simulation.run()
-    return report, log
+    trace = _TraceLines()
+    report = DcaSimulation(DcaConfig(**defaults), recorder=trace).run()
+    return report, trace.lines
 
 
-class TestTraceEvent:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TraceEvent(0.0, "explode", 1)
+def kind_of(line):
+    return line.split(" ")[1]
 
 
-class TestTraceLog:
-    def test_record_and_len(self):
-        log = TraceLog()
-        log.record(TraceEvent(1.0, SUBMIT, 0))
-        assert len(log) == 1
+def detail_of(line):
+    body = line[line.index("[") + 1 : -1]
+    return dict(item.split("=", 1) for item in body.split(",")) if body else {}
 
-    def test_capacity_drops_oldest(self):
-        log = TraceLog(capacity=2)
-        for i in range(5):
-            log.record(TraceEvent(float(i), SUBMIT, i))
-        assert len(log) == 2
-        assert log.dropped == 3
-        assert [e.task_id for e in log] == [3, 4]
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            TraceLog(capacity=0)
-
-    def test_filter_by_kind_task_and_window(self):
-        log = TraceLog()
-        log.record(TraceEvent(1.0, SUBMIT, 0))
-        log.record(TraceEvent(2.0, DISPATCH, 0, {"node": 1}))
-        log.record(TraceEvent(3.0, DISPATCH, 1, {"node": 2}))
-        assert len(log.filter(kind=DISPATCH)) == 2
-        assert len(log.filter(task_id=0)) == 2
-        assert len(log.filter(since=2.5)) == 1
-        assert len(log.filter(until=1.5)) == 1
-        assert len(log.filter(kind=DISPATCH, task_id=1)) == 1
+def timeline(lines, task_id):
+    return [line for line in lines if f" task={task_id} " in line]
 
 
 class TestInstrumentedRuns:
     def test_every_task_has_submit_and_accept(self):
-        report, log = run_traced(TraditionalRedundancy(3))
-        counts = log.counts()
-        assert counts[SUBMIT] == 20
-        assert counts[ACCEPT] == 20
+        report, lines = run_traced(TraditionalRedundancy(3))
+        counts = Counter(kind_of(line) for line in lines)
+        assert counts["submit"] == 20
+        assert counts["accept"] == 20
 
     def test_dispatch_count_matches_server_counter(self):
-        report, log = run_traced(IterativeRedundancy(3))
-        assert log.counts()[DISPATCH] == report.total_jobs_dispatched
+        report, lines = run_traced(IterativeRedundancy(3))
+        counts = Counter(kind_of(line) for line in lines)
+        assert counts["dispatch"] == report.total_jobs_dispatched
 
     def test_complete_plus_timeout_equals_jobs_used(self):
-        report, log = run_traced(
+        report, lines = run_traced(
             TraditionalRedundancy(3), unresponsive_prob=0.2, timeout=5.0
         )
-        counts = log.counts()
-        total = counts.get(COMPLETE, 0) + counts.get(TIMEOUT, 0)
-        assert total == report.total_jobs
-        assert counts.get(TIMEOUT, 0) == report.jobs_timed_out
+        counts = Counter(kind_of(line) for line in lines)
+        assert counts["timeout"] > 0
+        assert counts["complete"] + counts["timeout"] == report.total_jobs
+        assert counts["timeout"] == report.jobs_timed_out
 
     def test_timeline_is_ordered_and_ends_with_accept(self):
-        report, log = run_traced(IterativeRedundancy(2))
-        timeline = log.timeline(5)
-        assert timeline[0].kind == SUBMIT
-        assert timeline[-1].kind == ACCEPT
-        times = [event.time for event in timeline]
+        report, lines = run_traced(IterativeRedundancy(2))
+        events = timeline(lines, 5)
+        assert kind_of(events[0]) == "submit"
+        assert kind_of(events[-1]) == "accept"
+        times = [float(line.split(" ")[0][len("t="):]) for line in events]
         assert times == sorted(times)
 
     def test_multi_wave_task_has_decide_events(self):
-        report, log = run_traced(IterativeRedundancy(3), tasks=60)
+        report, lines = run_traced(IterativeRedundancy(3), tasks=60)
         multi_wave = [r for r in report.records if r.waves > 1]
         assert multi_wave, "expected at least one multi-wave task at r=0.7"
-        record = multi_wave[0]
-        timeline = log.timeline(record.task_id)
-        assert any(event.kind == DECIDE for event in timeline)
+        events = timeline(lines, multi_wave[0].task_id)
+        assert any(kind_of(line) == "decide" for line in events)
 
     def test_accept_detail_matches_record(self):
-        report, log = run_traced(IterativeRedundancy(2))
+        report, lines = run_traced(IterativeRedundancy(2))
         for record in report.records[:5]:
-            accepts = log.filter(kind=ACCEPT, task_id=record.task_id)
+            accepts = [
+                line
+                for line in timeline(lines, record.task_id)
+                if kind_of(line) == "accept"
+            ]
             assert len(accepts) == 1
-            assert accepts[0].detail["jobs"] == record.jobs_used
-            assert accepts[0].detail["waves"] == record.waves
-
-    def test_render_timeline(self):
-        report, log = run_traced(TraditionalRedundancy(3))
-        text = log.render(0)
-        assert text.startswith("task 0")
-        assert "submit" in text
-        assert "accept" in text
+            detail = detail_of(accepts[0])
+            assert detail["jobs"] == repr(record.jobs_used)
+            assert detail["waves"] == repr(record.waves)

@@ -68,6 +68,19 @@ class TestFigure3:
             ir_val = interpolate_reliability_at_cost(ir, point.cost)
             if ir_val is not None:
                 assert ir_val > point.reliability - 1e-9
+        # Equal k: PR matches TR's reliability at lower cost.
+        for tr_point, pr_point in zip(tr.points, pr.points):
+            assert pr_point.reliability == pytest.approx(tr_point.reliability)
+            if tr_point.cost > 1:
+                assert pr_point.cost < tr_point.cost
+        # The paper's anchors: R = 0.967 costs 19 (TR), 14.17 (PR), 9.35 (IR).
+        k19_tr = next(p for p in tr.points if p.label == "k=19")
+        k19_pr = next(p for p in pr.points if p.label == "k=19")
+        d4_ir = next(p for p in ir.points if p.label == "d=4")
+        assert k19_tr.reliability == pytest.approx(0.967, abs=0.001)
+        assert k19_pr.cost == pytest.approx(14.17, abs=0.05)
+        assert d4_ir.cost == pytest.approx(9.35, abs=0.05)
+        assert d4_ir.reliability == pytest.approx(0.967, abs=0.001)
 
     def test_renders(self, fig3):
         text = figure3.render(fig3)
@@ -118,6 +131,14 @@ class TestFigure5b:
         assert all(0.55 < e < 0.75 for e in estimates)
         assert sum(estimates) / len(estimates) < 0.72
 
+    def test_ir_beats_tr_at_comparable_cost(self, fig5b):
+        """The paper's headline on the deployment substrate: IR(d=4)
+        beats TR(k=9) on reliability at comparable-or-lower cost."""
+        tr9 = next(p for p in fig5b.series_by_name("TR").points if p.label == "k=9")
+        ir4 = next(p for p in fig5b.series_by_name("IR").points if p.label == "d=4")
+        assert ir4.reliability > tr9.reliability
+        assert ir4.cost < tr9.cost * 1.35
+
     def test_renders(self, fig5b):
         assert "Figure 5(b)" in figure5b.render(fig5b)
 
@@ -131,11 +152,12 @@ class TestFigure5c:
         pr_values = [pr[r] for r in sorted(pr)]
         assert pr_values == sorted(pr_values)
         assert 1.8 < pr_values[-1] <= 2.0
-        # IR: >= 1.5 at the low end, peak > 2.5 in the 0.85-0.95 region,
-        # easing off toward ~2.4-2.6 near r = 1.
+        # IR: >= 1.5 at the low end, peak > 2.5 in the 0.8-0.95 region,
+        # easing off toward ~2.4-2.6 near r = 1 (paper: 1.6 / 2.8 / 2.4).
         ir_values = [ir[r] for r in sorted(ir)]
         assert ir_values[0] >= 1.5
-        peak = max(ir_values)
+        peak_r, peak = max(ir.items(), key=lambda rv: rv[1])
+        assert 0.8 <= peak_r <= 0.95
         assert peak > 2.5
         assert ir_values[-1] < peak
 

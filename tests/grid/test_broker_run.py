@@ -151,6 +151,7 @@ class TestGridRuns:
             seed=5,
         )
         report = run_grid(config)
+        assert report.tasks_completed == 3_000
         r = config.expected_job_reliability()
         assert report.system_reliability == pytest.approx(
             analysis.traditional_reliability(r, 5), abs=0.03

@@ -76,11 +76,19 @@ class TestInjectedNondeterminism:
         assert not report.ok
         divergence = report.divergence
         assert divergence is not None
-        assert divergence.kind in ("event", "length", "metric")
-        if divergence.kind == "event":
-            assert divergence.index >= 0
-            assert divergence.expected != divergence.observed
-            assert f"#{divergence.index}" in divergence.describe()
+        # 60 submits and 15 first-wave dispatches replay identically; the
+        # first completion is the first line carrying a leaked draw.  Its
+        # clean lead over the runner-up (~0.024) exceeds the 0.01 leak, so
+        # the same job completes first whatever the global RNG state.
+        assert divergence.kind == "event"
+        assert divergence.index == 75
+        expected_time, expected_rest = divergence.expected.split(" ", 1)
+        observed_time, observed_rest = divergence.observed.split(" ", 1)
+        assert expected_rest == observed_rest
+        assert expected_rest.startswith("complete task=")
+        assert "node=" in expected_rest
+        assert expected_time.startswith("t=") and expected_time != observed_time
+        assert f"#{divergence.index}" in divergence.describe()
         assert "NONDETERMINISM" in report.message()
         with pytest.raises(DeterminismError):
             report.raise_if_diverged()

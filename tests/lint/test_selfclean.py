@@ -30,12 +30,10 @@ def test_src_repro_lints_clean():
 
 
 def test_tests_and_benchmarks_lint_clean():
-    # Same bar for the test and benchmark trees; their exact-equality
-    # asserts carry file-level RL003 disables with stated justification.
+    # Same bar for the test tree; its exact-equality asserts carry
+    # file-level RL003 disables with stated justification.
     engine = LintEngine()
-    findings = engine.lint_paths(
-        [str(REPO_ROOT / "tests"), str(REPO_ROOT / "benchmarks")]
-    )
+    findings = engine.lint_paths([str(REPO_ROOT / "tests")])
     assert findings == [], "\n".join(f.format() for f in findings)
     assert engine.files_checked > 30
 
@@ -45,7 +43,7 @@ def test_project_rules_lint_clean():
     # layering DAG holds, the import graph is acyclic, pool workers are
     # picklable, and no RNG provenance leaks -- without a baseline.
     report = lint_project(
-        [str(SRC_ROOT), str(REPO_ROOT / "tests"), str(REPO_ROOT / "benchmarks")],
+        [str(SRC_ROOT), str(REPO_ROOT / "tests")],
         rule_ids=[],
         project_rule_ids=sorted(registered_project_rules()),
         jobs=1,
@@ -60,7 +58,7 @@ def test_flow_rules_lint_clean():
     # unseeded in decision code, and no float reduction sees a
     # provably-unordered operand.  The acceptance bar for --flows.
     report = lint_project(
-        [str(SRC_ROOT), str(REPO_ROOT / "tests"), str(REPO_ROOT / "benchmarks")],
+        [str(SRC_ROOT), str(REPO_ROOT / "tests")],
         rule_ids=[],
         project_rule_ids=[],
         flow_rule_ids=sorted(registered_flow_rules()),
@@ -77,7 +75,7 @@ def test_tensor_rules_lint_clean():
     # sorts in decision paths, and every ColumnarUnsupported guard is
     # live and reached.  The acceptance bar for --tensors.
     report = lint_project(
-        [str(SRC_ROOT), str(REPO_ROOT / "tests"), str(REPO_ROOT / "benchmarks")],
+        [str(SRC_ROOT), str(REPO_ROOT / "tests")],
         rule_ids=[],
         project_rule_ids=[],
         tensor_rule_ids=sorted(registered_tensor_rules()),

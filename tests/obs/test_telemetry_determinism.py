@@ -19,9 +19,8 @@ import pytest
 from repro.core import IterativeRedundancy, TraditionalRedundancy
 from repro.dca import DcaConfig
 from repro.dca.simulation import DcaSimulation
-from repro.dca.tracing import TraceLog, instrument_server
-from repro.lint.sanitizer import trace_fingerprint
-from repro.obs import TelemetryRecorder, TelemetrySink, clear_sink, install_sink
+from repro.lint.sanitizer import _TraceLines, trace_fingerprint
+from repro.obs import TeeRecorder, TelemetryRecorder, TelemetrySink, clear_sink, install_sink
 from repro.parallel import (
     dca_replicate_specs,
     merge_telemetry,
@@ -46,10 +45,9 @@ GOLDENS = [
 
 def _digest_with(factory, config_kwargs, recorder):
     config = DcaConfig(strategy=factory(), **config_kwargs)
-    sim = DcaSimulation(copy.deepcopy(config), recorder=recorder)
-    log = instrument_server(sim.server, TraceLog())
-    sim.run()
-    return hashlib.sha256(trace_fingerprint(list(log)).encode()).hexdigest()
+    trace = _TraceLines()
+    DcaSimulation(copy.deepcopy(config), recorder=TeeRecorder(recorder, trace)).run()
+    return hashlib.sha256(trace_fingerprint(trace.lines).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("factory,config_kwargs,expected", GOLDENS)
