@@ -17,10 +17,15 @@ Entry point::
         strategy=IterativeRedundancy(d=4),
     ))
     print(report.summary())
+
+``run_dca(config, engine="columnar")`` runs the same config on the
+columnar engine (:mod:`repro.dca.columnar`) when it fits that engine's
+regime, and raises :class:`ColumnarUnsupported` when it does not.
 """
 
 from repro.dca.columnar import ColumnarReport, ColumnarUnsupported, run_columnar_dca
 from repro.dca.config import DcaConfig
+from repro.dca.engines import ENGINES, check_engine, run_dca
 from repro.dca.failures import (
     ByzantineCollusion,
     FailureModel,
@@ -38,11 +43,12 @@ from repro.dca.checkpointing import (
 from repro.dca.node import Node
 from repro.dca.pool import NodePool
 from repro.dca.report import DcaReport, TaskRecord
-from repro.dca.simulation import DcaSimulation, run_dca
+from repro.dca.simulation import DcaSimulation
 from repro.dca.taskserver import TaskServer
 from repro.dca.workload import Task, Workload
 
 __all__ = [
+    "ENGINES",
     "ByzantineCollusion",
     "CheckpointPolicy",
     "ColumnarReport",
@@ -61,6 +67,7 @@ __all__ = [
     "TaskServer",
     "UnresponsiveWrapper",
     "Workload",
+    "check_engine",
     "expected_completion_time",
     "optimal_interval",
     "run_columnar_dca",

@@ -57,8 +57,15 @@ pre-drawn arrays, and the cross-check tests swap them in and assert
 byte-identical reports.
 
 Configurations outside the regime (node-aware strategies, non-binary
-failure models) are rejected with :class:`ColumnarUnsupported`; use the
-DES for those.
+failure models) are rejected with :class:`ColumnarUnsupported` by
+:func:`check_columnar`, the one check the engine and the replicate and
+shard spec builders share; use the DES (``engine="des"``) for those.
+
+Telemetry uses the DES vocabulary (:mod:`repro.obs.names`): the same
+counters and histograms on the same boundaries, filled in bulk per wave,
+plus one ``dca.wave`` span per engine wave on simulated time.  Emitting
+it draws no random numbers, so a run is identical with a recorder or
+without.
 
 Determinism: all draws come from seeded numpy generators whose seeds
 derive from the config seed via :class:`~repro.sim.rng.RngRegistry`
@@ -90,11 +97,17 @@ from repro.dca.config import DcaConfig
 from repro.dca.failures import ByzantineCollusion
 from repro.obs.names import (
     DCA_ACCEPTS,
+    DCA_COMPLETES,
+    DCA_DECISIONS,
     DCA_DISPATCHES,
+    DCA_JOBS_PER_TASK,
     DCA_MAKESPAN,
+    DCA_RESPONSE_TIME,
     DCA_SPOT_CHECKS,
     DCA_SUBMITS,
     DCA_TIMEOUTS,
+    DCA_WAVE_SIZE,
+    DCA_WAVE_SPAN,
 )
 from repro.obs.recorder import Recorder
 from repro.obs.recorder import active as active_recorder
@@ -375,16 +388,35 @@ def _horizon_cut(start, span, horizon):
 # ---------------------------------------------------------------------------
 
 
-def _validate(config: DcaConfig) -> None:
-    model = config.failure_model
-    if model is not None and type(model) is not ByzantineCollusion:
+def _segment_counts(mask, segments, widest):
+    """Per-task ``True`` counts of a per-job bool column.
+
+    ``widest`` bounds every segment's length.  When it fits a byte the
+    sum runs on the mask's own bytes; any wider accumulator makes
+    ``reduceat`` cast the whole column first (8 bytes per job).
+    """
+    if widest <= np.iinfo(np.uint8).max:
+        counts = np.add.reduceat(mask.view(np.uint8), segments, dtype=np.uint8)
+        return counts.astype(np.int64)
+    return np.add.reduceat(mask, segments, dtype=np.int64)
+
+
+def check_columnar(strategy: RedundancyStrategy, failure_model: object = None) -> None:
+    """Reject a strategy or failure model outside the columnar regime.
+
+    Raises:
+        ColumnarUnsupported: for a non-binary failure model or a
+            node-aware strategy; the message names ``engine="des"``.
+    """
+    if failure_model is not None and type(failure_model) is not ByzantineCollusion:
         raise ColumnarUnsupported(
             "the columnar engine models the binary colluding-Byzantine "
-            f"failure model only, got {type(model).__name__}; use run_dca"
+            f"failure model only, got {type(failure_model).__name__}; "
+            'use engine="des"'
         )
-    if is_node_aware(config.strategy):
+    if is_node_aware(strategy):
         raise ColumnarUnsupported(
-            "node-aware strategies need per-node bookkeeping; use run_dca"
+            'node-aware strategies need per-node bookkeeping; use engine="des"'
         )
 
 
@@ -399,15 +431,15 @@ def run_columnar_dca(
     Args:
         config: The run configuration (same class the DES takes); see
             :class:`ColumnarUnsupported` for the supported regime.
-        recorder: Optional telemetry recorder; receives run-level
-            aggregates (submits, dispatches, timeouts, accepts, makespan).
+        recorder: Optional telemetry recorder; receives the DES's
+            counters and histograms and one ``dca.wave`` span per wave.
         max_waves: Runaway guard; a healthy run needs a handful of waves.
 
     Returns:
         A :class:`ColumnarReport` with the Section 4.1 measures.
     """
     _require_numpy()
-    _validate(config)
+    check_columnar(config.strategy, config.failure_model)
     strategy = config.strategy
     decider = _DECIDERS.get(type(strategy), _decide_fallback)
 
@@ -484,9 +516,11 @@ def run_columnar_dca(
     rec = active_recorder(recorder)
     if rec is not None:
         rec.count(DCA_SUBMITS, tasks)
+        strategy_label = strategy.describe()
 
     total_dispatched = 0
     timed_out = 0
+    completes = 0
     spot_checks = 0
     joins = 0
     departures = 0
@@ -562,28 +596,41 @@ def run_columnar_dca(
         segments = np.concatenate(([0], np.cumsum(counts)[:-1]))
         jobs = int(counts.sum())
         total_dispatched += jobs
+        if rec is not None:
+            wave_start = float(clock[active].min())
+            wave_attrs = {"wave": wave, "tasks": int(counts.size), "jobs": jobs}
+            rec.observe_many(DCA_WAVE_SIZE, counts, labels={"followup": wave > 1})
         pool_size = node_reliability.shape[0] if track_nodes else config.nodes
 
-        # Job draws, one column per quantity over this wave's jobs.
+        # Job draws, one column per quantity over this wave's jobs.  A
+        # wave of 10^6 tasks x k=19 is 1.9e7 jobs (152 MB per float
+        # column), so every column is built in place where it can be and
+        # dropped as soon as its last reader is done.
         if track_nodes:
             node_index = rng_select.integers(0, pool_size, jobs)
             reliability = node_reliability[node_index]
             speed = node_speed[node_index]
+            del node_index
         else:
             reliability = scalar_reliability
-            speed = 1.0
-        silent = (
-            rng_failures.random(jobs) < silent_prob
-            if silent_prob
-            else np.zeros(jobs, dtype=bool)
-        )
+            speed = None  # every node runs at speed 1.0
+        silent = rng_failures.random(jobs) < silent_prob if silent_prob else None
         correct = rng_failures.random(jobs) < reliability
+        del reliability
         duration = rng_durations.uniform(config.duration_low, config.duration_high, jobs)
-        duration = duration * speed
+        if speed is not None:
+            duration *= speed
+        del speed
         # A job responds only if the node speaks up *and* beats the
         # deadline (the DES deadline event outruns a same-time completion).
-        responded = ~silent & (duration < timeout)
-        response_time = np.where(responded, duration, timeout)
+        responded = duration < timeout
+        if silent is not None:
+            responded &= ~silent
+            duration[silent] = timeout
+        del silent
+        # The response time is the duration, or the deadline for a job
+        # that never answered; nothing else reads the durations.
+        response_time = np.minimum(duration, timeout, out=duration)
 
         # -- spot-checks: replay the task server's assignment gate.  Every
         # assignment attempt draws once; a diverted slot is re-assigned
@@ -635,6 +682,8 @@ def run_columnar_dca(
                     deadline_seen = spot_start + timeout <= horizon
                 spot_timed_out = ~spot_responded & deadline_seen
                 timed_out += int(spot_timed_out.sum())
+                if rec is not None:
+                    completes += int((spot_responded & completion_seen).sum())
                 seen = np.where(spot_responded, completion_seen, deadline_seen)
                 passed = spot_responded & spot_correct
                 ids = node_ids[spot_index] if has_churn else spot_index
@@ -643,9 +692,11 @@ def run_columnar_dca(
                 )
 
         # Fold the wave into the tallies with segment reductions.
-        true_wave = np.add.reduceat((responded & correct).astype(np.int64), segments)
-        false_wave = np.add.reduceat((responded & ~correct).astype(np.int64), segments)
+        widest = int(counts.max())
+        true_wave = _segment_counts(responded & correct, segments, widest)
+        false_wave = _segment_counts(responded & ~correct, segments, widest)
         span = np.maximum.reduceat(response_time, segments)
+        del correct, duration, response_time
 
         if horizon is not None:
             truncated = _KERNELS["horizon_cut"](clock[active], span, horizon)
@@ -659,33 +710,44 @@ def run_columnar_dca(
             # the horizon) -- so they add nothing to jobs_timed_out.
             live = ~truncated
             live_tasks = active[live]
-            wave_end = clock[active] + span
-            responded_per_task = np.add.reduceat(responded.astype(np.int64), segments)
-            timed_out += int((counts[live] - responded_per_task[live]).sum())
+            # Churn only ever reads the frontier up to the horizon, so the
+            # wave's end is clipped there.
+            wave_last = min(float((clock[active] + span).max()), horizon)
+            responded_per_task = _segment_counts(responded, segments, widest)
+            answered = int(responded_per_task[live].sum())
+            timed_out += int(counts[live].sum()) - answered
             true_votes[live_tasks] += true_wave[live]
             false_votes[live_tasks] += false_wave[live]
             clock[live_tasks] += span[live]
             jobs_used[live_tasks] += counts[live]
             waves[live_tasks] += 1
-            frontier = max(frontier, float(wave_end.max()))
             active = live_tasks
-            if not active.size:
-                break
-            accept, value, more = decider(
-                strategy, true_votes[active], false_votes[active]
-            )
         else:
             true_votes[active] += true_wave
             false_votes[active] += false_wave
-            timed_out += jobs - int(responded.sum())
+            answered = int(responded.sum())
+            timed_out += jobs - answered
             # Wave-synchronous clock: the wave resolves at its slowest job.
             clock[active] += span
             jobs_used[active] += counts
             waves[active] += 1
-            frontier = max(frontier, float(clock[active].max()))
-            accept, value, more = decider(
-                strategy, true_votes[active], false_votes[active]
-            )
+            wave_last = float(clock[active].max())
+        del responded
+        frontier = max(frontier, wave_last)
+        completes += answered
+        if rec is not None:
+            rec.span_begin(DCA_WAVE_SPAN, wave, wave_start, wave_attrs)
+            rec.span_end(DCA_WAVE_SPAN, wave, wave_last)
+        if not active.size:
+            break
+        accept, value, more = decider(strategy, true_votes[active], false_votes[active])
+        if rec is not None:
+            accepted = int(accept.sum())
+            for outcome, n in (("accept", accepted), ("extend", accept.size - accepted)):
+                if n:
+                    rec.count(
+                        DCA_DECISIONS, n, labels={"strategy": strategy_label, "outcome": outcome}
+                    )
         done = active[accept]
         accepted_true[done] = value[accept]
         completed[done] = True
@@ -703,11 +765,14 @@ def run_columnar_dca(
         makespan = 0.0
     if rec is not None:
         rec.count(DCA_DISPATCHES, total_dispatched)
+        rec.count(DCA_COMPLETES, completes)
         rec.count(DCA_TIMEOUTS, timed_out)
         rec.count(DCA_ACCEPTS, completed_count)
         if spot_checks:
             rec.count(DCA_SPOT_CHECKS, spot_checks)
         rec.gauge(DCA_MAKESPAN, makespan)
+        rec.observe_many(DCA_RESPONSE_TIME, clock[completed])
+        rec.observe_many(DCA_JOBS_PER_TASK, jobs_used[completed])
 
     if completed_count:
         done_clock = clock[completed]

@@ -1,4 +1,4 @@
-"""Wiring and entry point for DCA simulation runs."""
+"""Wiring for DES runs of the DCA model (entry point: :func:`repro.dca.run_dca`)."""
 
 from __future__ import annotations
 
@@ -93,8 +93,3 @@ class DcaSimulation:
             nodes_departed=self.pool.departures,
             seed=config.seed,
         )
-
-
-def run_dca(config: DcaConfig, recorder: Optional[Recorder] = None) -> DcaReport:
-    """Build and run one DCA simulation (the usual entry point)."""
-    return DcaSimulation(config, recorder=recorder).run()

@@ -35,7 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale",
         choices=("smoke", "default", "full"),
         default="default",
-        help="run size: smoke (seconds), default (a few minutes), full (the paper's scale)",
+        help=(
+            "run size: smoke (seconds), default (a few minutes), full (the "
+            "paper's scale; a figure5a/figure5c replicate of 10^6 tasks "
+            "needs up to ~330 MB per worker, so bound memory with --jobs)"
+        ),
     )
     parser.add_argument(
         "--jobs",

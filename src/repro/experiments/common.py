@@ -156,7 +156,7 @@ def replicate_dca(
     jobs: Optional[int] = 1,
     **config_overrides,
 ) -> ReplicatedMeasurement:
-    """Run several independent DES replications and aggregate with errors.
+    """Run several independent replications and aggregate with errors.
 
     A fresh strategy instance per replication keeps node-aware strategies
     honest; per-replicate seeds spawn deterministically from the base
@@ -167,6 +167,10 @@ def replicate_dca(
         jobs: Worker processes for the replication engine.  ``1``
             (default) runs the exact in-process serial path; ``None``
             uses every core.  All values produce identical results.
+        config_overrides: Extra :func:`~repro.parallel.dca_replicate_specs`
+            arguments: :class:`~repro.dca.DcaConfig` fields, and
+            ``engine`` (``"columnar"`` by default, ``"des"`` for node
+            contention, node-aware strategies or non-binary votes).
     """
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
@@ -187,4 +191,11 @@ SCALES = {
     "smoke": dict(tasks=1_000, nodes=200, replications=2),
     "default": dict(tasks=10_000, nodes=1_000, replications=3),
     "full": dict(tasks=100_000, nodes=10_000, replications=3),
+}
+
+#: Scales for figures that run on the columnar engine, where ``full`` is
+#: the paper's own XDEVS scale (section 4.1: 10^6 tasks on 10^4 nodes).
+COLUMNAR_SCALES = {
+    **SCALES,
+    "full": dict(tasks=1_000_000, nodes=10_000, replications=3),
 }

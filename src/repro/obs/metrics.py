@@ -115,16 +115,41 @@ class HistogramFamily:
         self.boundaries = bounds
         self._series: Dict[LabelPairs, dict] = {}
 
-    def observe(self, value: Union[int, float], labels: Optional[Mapping[str, Any]] = None) -> None:
-        """Record one observation into the matching bucket."""
+    def _state(self, labels: Optional[Mapping[str, Any]]) -> dict:
         key = _label_key(labels)
         state = self._series.get(key)
         if state is None:
             state = {"counts": [0] * (len(self.boundaries) + 1), "sum": 0.0, "count": 0}
             self._series[key] = state
+        return state
+
+    def observe(self, value: Union[int, float], labels: Optional[Mapping[str, Any]] = None) -> None:
+        """Record one observation into the matching bucket."""
+        state = self._state(labels)
         state["counts"][bisect_right(self.boundaries, value)] += 1
         state["sum"] += value
         state["count"] += 1
+
+    def observe_many(self, values: Any, labels: Optional[Mapping[str, Any]] = None) -> None:
+        """Record a numpy array of observations in one pass.
+
+        Buckets match :meth:`observe` value for value:
+        ``searchsorted(side="right")`` is ``bisect_right``.  The sum is
+        numpy's, so it can differ from a loop of :meth:`observe` calls in
+        the last bits.
+        """
+        # Imported here: only numpy engines call this, and they have
+        # loaded numpy already; plain telemetry users never pay for it.
+        import numpy as np
+
+        if not values.size:
+            return
+        state = self._state(labels)
+        buckets = np.searchsorted(self.boundaries, values, side="right")
+        binned = np.bincount(buckets, minlength=len(self.boundaries) + 1)
+        state["counts"] = [a + int(b) for a, b in zip(state["counts"], binned)]
+        state["sum"] += float(values.sum())
+        state["count"] += int(values.size)
 
     def count(self, labels: Optional[Mapping[str, Any]] = None) -> int:
         """Observations recorded in one labeled series."""

@@ -19,6 +19,9 @@ DCA_TASK_SPAN = "dca.task"
 #: One job's life from dispatch to completion/timeout (key: node id --
 #: unique among open spans because a node runs at most one job at a time).
 DCA_JOB_SPAN = "dca.job"
+#: One columnar engine wave: every active task's next batch of jobs, from
+#: the earliest dispatch to the latest vote landing (key: wave number).
+DCA_WAVE_SPAN = "dca.wave"
 
 # ---------------------------------------------------------------------------
 # Instant event names.
@@ -76,6 +79,7 @@ __all__ = [
     "DCA_TASK_SPAN",
     "DCA_TIMEOUTS",
     "DCA_WAVE_SIZE",
+    "DCA_WAVE_SPAN",
     "SIM_COMPACTIONS",
     "SIM_EVENTS",
     "SIM_HEAP_SIZE",

@@ -27,7 +27,8 @@ Number = Union[int, float]
 
 
 class Recorder:
-    """The recorder interface; base methods are explicit no-ops.
+    """The recorder interface; base methods are explicit no-ops, except
+    :meth:`observe_many`, which feeds each value to :meth:`observe`.
 
     Attributes:
         enabled: False for no-op recorders.  Instrumented components
@@ -54,6 +55,11 @@ class Recorder:
 
     def observe(self, name: str, value: Number, labels: Optional[Mapping[str, Any]] = None) -> None:
         """Record ``value`` into the histogram ``name``."""
+
+    def observe_many(self, name: str, values: Any, labels: Optional[Mapping[str, Any]] = None) -> None:
+        """Record every value of a numpy array into the histogram ``name``."""
+        for value in values.tolist():
+            self.observe(name, value, labels)
 
 
 class NullRecorder(Recorder):
@@ -163,6 +169,9 @@ class TelemetryRecorder(Recorder):
     def observe(self, name: str, value: Number, labels: Optional[Mapping[str, Any]] = None) -> None:
         self._registry.histogram(name).observe(value, labels)
 
+    def observe_many(self, name: str, values: Any, labels: Optional[Mapping[str, Any]] = None) -> None:
+        self._registry.histogram(name).observe_many(values, labels)
+
     # -- reading back ---------------------------------------------------
 
     @property
@@ -231,6 +240,10 @@ class TeeRecorder(Recorder):
     def observe(self, name: str, value: Number, labels: Optional[Mapping[str, Any]] = None) -> None:
         for recorder in self.recorders:
             recorder.observe(name, value, labels)
+
+    def observe_many(self, name: str, values: Any, labels: Optional[Mapping[str, Any]] = None) -> None:
+        for recorder in self.recorders:
+            recorder.observe_many(name, values, labels)
 
 
 def active(recorder: Optional[Recorder]) -> Optional[Recorder]:

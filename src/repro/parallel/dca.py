@@ -1,10 +1,15 @@
-"""DCA replicate worker: run one DES replicate, return an envelope.
+"""DCA replicate worker: run one replicate, return an envelope.
 
 This is the substrate glue between :func:`repro.parallel.engine.parallel_map`
 and :func:`repro.dca.run_dca`.  The spec is a frozen, picklable value
 object; the worker rebuilds the full :class:`~repro.dca.config.DcaConfig`
 from it inside the (possibly remote) process, so no live simulation
 state ever crosses a process boundary.
+
+Each spec names its engine (``engine=``, default ``"columnar"``); the
+worker hands it to :func:`repro.dca.run_dca`.  Building a spec checks
+the engine against the config, so an unsupported combination fails in
+the parent before any worker forks.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.distributions import ReliabilityDistribution
 from repro.core.strategy import RedundancyStrategy
-from repro.dca import DcaConfig, run_dca
+from repro.dca import DcaConfig, check_engine, run_dca
 from repro.parallel.engine import parallel_map
 from repro.parallel.envelope import (
     RawResult,
@@ -39,6 +44,11 @@ class DcaReplicateSpec:
     way.  ``overrides`` carries extra :class:`DcaConfig` fields as a
     sorted tuple of pairs to keep the spec hashable.
 
+    ``engine`` picks the engine that runs the replicate (see
+    :data:`repro.dca.ENGINES`); construction rejects an unknown name,
+    and a node-aware strategy or non-binary failure model on
+    ``"columnar"`` (:class:`~repro.dca.ColumnarUnsupported`).
+
     ``telemetry`` asks the worker to run under a buffering
     :class:`~repro.obs.TelemetryRecorder` and ship the capped payload
     back in the envelope.  It never perturbs the simulation: metrics and
@@ -52,6 +62,10 @@ class DcaReplicateSpec:
     reliability: Union[float, ReliabilityDistribution]
     overrides: Tuple[Tuple[str, Any], ...] = ()
     telemetry: bool = False
+    engine: str = "columnar"
+
+    def __post_init__(self) -> None:
+        check_engine(self.engine, self.strategy, dict(self.overrides).get("failure_model"))
 
 
 def dca_replicate_specs(
@@ -63,9 +77,16 @@ def dca_replicate_specs(
     replications: int,
     seed: int,
     telemetry: bool = False,
+    engine: str = "columnar",
     **config_overrides: Any,
 ) -> List[DcaReplicateSpec]:
-    """Build one spec per replicate with spawn-derived seeds."""
+    """Build one spec per replicate with spawn-derived seeds.
+
+    Raises:
+        ValueError: for an engine not in :data:`repro.dca.ENGINES`.
+        ColumnarUnsupported: for a node-aware strategy or a non-binary
+            failure model on ``engine="columnar"``.
+    """
     seeds = replicate_seeds(seed, replications)
     overrides = tuple(sorted(config_overrides.items()))
     return [
@@ -77,6 +98,7 @@ def dca_replicate_specs(
             reliability=reliability,
             overrides=overrides,
             telemetry=telemetry,
+            engine=engine,
         )
         for replicate_seed in seeds
     ]
@@ -98,6 +120,7 @@ def run_dca_replicate(spec: DcaReplicateSpec) -> RawResult:
             **dict(spec.overrides),
         ),
         recorder=recorder,
+        engine=spec.engine,
     )
     return raw_result(spec.seed, report.as_dict(), start, recorder)
 

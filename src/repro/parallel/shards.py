@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.distributions import ReliabilityDistribution
 from repro.core.strategy import RedundancyStrategy
-from repro.dca import DcaConfig, run_columnar_dca, run_dca
+from repro.dca import DcaConfig, check_engine, run_columnar_dca, run_dca
 from repro.parallel.engine import parallel_map
 from repro.parallel.envelope import (
     RawResult,
@@ -54,10 +54,6 @@ from repro.parallel.envelope import (
 from repro.parallel.reducer import combined_fingerprint, merge_telemetry, ordered
 from repro.parallel.seeds import shard_seeds
 
-#: Shard engines: columnar for scale, the object DES for full generality.
-SHARD_ENGINES = ("columnar", "des")
-
-
 @dataclass(frozen=True)
 class ShardSpec:
     """One shard of a larger computation, in picklable form.
@@ -67,6 +63,8 @@ class ShardSpec:
     spawn-derived root seed.  ``overrides`` carries extra
     :class:`~repro.dca.DcaConfig` fields as a sorted tuple of pairs
     (churn rates already scaled to the shard's pool share).
+    Construction checks ``engine`` as :class:`~repro.parallel.dca.DcaReplicateSpec`
+    does.
     """
 
     seed: int
@@ -79,10 +77,7 @@ class ShardSpec:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine not in SHARD_ENGINES:
-            raise ValueError(
-                f"unknown shard engine {self.engine!r}; choose from {SHARD_ENGINES}"
-            )
+        check_engine(self.engine, self.strategy, dict(self.overrides).get("failure_model"))
 
 
 def _split(total: int, shards: int) -> List[int]:
@@ -118,7 +113,10 @@ def shard_specs(
         ValueError: if ``shards`` exceeds ``tasks`` or ``nodes`` (every
             shard must hold at least one task and one node -- rejecting
             degenerate zero-task shards up front beats silently merging
-            their nan-valued reports later).
+            their nan-valued reports later), or for an engine not in
+            :data:`repro.dca.ENGINES`.
+        ColumnarUnsupported: for a node-aware strategy or a non-binary
+            failure model on ``engine="columnar"``.
     """
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
@@ -189,6 +187,8 @@ def run_dca_shard(spec: ShardSpec) -> RawResult:
         seed=spec.seed,
         **dict(spec.overrides),
     )
+    # The columnar engine is called by name rather than through run_dca's
+    # engine switch, so perfbench's traced run can time it on its own.
     if spec.engine == "columnar":
         report = run_columnar_dca(config, recorder=recorder)
     else:

@@ -1,6 +1,6 @@
 # reprolint: disable-file=RL003 -- asserting that two closed-form evaluations are the *same* expression is the point
 """Closed-form predictions: self-consistency and cross-validation against
-full DES replications.
+full replications on both engines.
 
 Tolerances (documented in ``docs/performance.md``): in the idealised
 regime the equations model -- homogeneous reliability, no churn, ample
@@ -31,6 +31,7 @@ from repro.core import (
     analytic_prediction,
     supports_analytic,
 )
+from repro.dca import ENGINES
 from repro.experiments.common import replicate_dca
 
 UNLOADED = dict(tasks=2000, nodes=4000, reliability=0.7, replications=2, seed=7)
@@ -83,20 +84,27 @@ class TestClosedFormConsistency:
             analytic_prediction(AdaptiveReplication(), 0.7)
 
 
+_FACTORIES = [
+    ("TR5", lambda: TraditionalRedundancy(5)),
+    ("PR7", lambda: ProgressiveRedundancy(7)),
+    ("IR3", lambda: IterativeRedundancy(3)),
+]
+
+
 class TestCrossValidationAgainstSimulation:
-    """analytic_prediction must predict what replicate_dca measures."""
+    """analytic_prediction must predict what replicate_dca measures, on
+    either engine (the DES cases keep their bare ids)."""
 
     @pytest.mark.parametrize(
-        "factory",
+        "factory,engine",
         [
-            lambda: TraditionalRedundancy(5),
-            lambda: ProgressiveRedundancy(7),
-            lambda: IterativeRedundancy(3),
+            pytest.param(factory, engine, id=name if engine == "des" else f"{name}-{engine}")
+            for name, factory in _FACTORIES
+            for engine in ENGINES
         ],
-        ids=["TR5", "PR7", "IR3"],
     )
-    def test_analytic_matches_unloaded_simulation(self, factory):
-        sim = replicate_dca(factory, **UNLOADED)
+    def test_analytic_matches_unloaded_simulation(self, factory, engine):
+        sim = replicate_dca(factory, engine=engine, **UNLOADED)
         ana = analytic_prediction(factory(), UNLOADED["reliability"])
         assert ana.reliability == pytest.approx(sim.mean_reliability, abs=0.02)
         assert ana.cost_factor == pytest.approx(sim.mean_cost, rel=0.05)

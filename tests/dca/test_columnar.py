@@ -36,6 +36,7 @@ from repro.dca.columnar import (
     _KERNEL_FALLBACKS,
     _KERNELS,
     _decide_fallback,
+    _segment_counts,
 )
 from repro.obs import TelemetryRecorder
 
@@ -416,6 +417,24 @@ class TestEdgeRegimes:
         report = self._fallback_identical(monkeypatch, config)
         assert report.max_jobs_per_task >= 7
 
+    @pytest.mark.parametrize("widest", [1, 255, 256, 301])
+    def test_segment_counts_match_int64_sums(self, widest):
+        # Per-task vote tallies are summed on the mask's own bytes when
+        # every wave segment fits one; an all-True segment of exactly
+        # ``widest`` jobs is the overflow edge of that path.
+        rng = np.random.default_rng(widest)
+        lengths = rng.integers(1, widest + 1, 400)
+        lengths[0] = widest
+        segments = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        mask = rng.random(int(lengths.sum())) < 0.9
+        mask[:widest] = True
+        got = _segment_counts(mask, segments, widest)
+        assert got.dtype == np.int64
+        assert got[0] == widest
+        np.testing.assert_array_equal(
+            got, np.add.reduceat(mask.astype(np.int64), segments)
+        )
+
 
 class TestReportAndTelemetry:
     def test_summary_mentions_strategy(self):
@@ -435,3 +454,56 @@ class TestReportAndTelemetry:
             _config(IterativeRedundancy(3)), recorder=TelemetryRecorder()
         )
         assert bare == recorded
+
+    @pytest.mark.parametrize(
+        "regime",
+        [
+            {"spot_check_rate": 0.2, "unresponsive_prob": 0.1, "timeout": 1.2},
+            {"arrival_rate": 20.0, "departure_rate": 20.0, "max_time": 6.0},
+        ],
+        ids=["spot-silent", "churn-horizon"],
+    )
+    def test_recorder_does_not_perturb_regimes(self, regime):
+        bare = run_columnar_dca(_config(IterativeRedundancy(3), **regime))
+        recorder = TelemetryRecorder()
+        recorded = run_columnar_dca(_config(IterativeRedundancy(3), **regime), recorder=recorder)
+        assert bare == recorded
+        assert recorder.spans and recorder.open_spans == 0
+
+    def test_recorder_speaks_the_des_vocabulary(self):
+        config = _config(IterativeRedundancy(3), tasks=300, nodes=3_000)
+        des, columnar = TelemetryRecorder(), TelemetryRecorder()
+        run_dca(config, recorder=des)
+        report = run_columnar_dca(config, recorder=columnar)
+        des_snap = des.registry.snapshot()
+        col_snap = columnar.registry.snapshot()
+        des_names = {name for name in des_snap if name.startswith("dca.")}
+        assert des_names <= set(col_snap)
+        for name in ("dca.wave_size", "dca.response_time", "dca.jobs_per_task"):
+            assert col_snap[name]["boundaries"] == des_snap[name]["boundaries"]
+
+        def series(name):
+            return {
+                tuple(sorted(entry["labels"].items())): entry
+                for entry in col_snap[name]["series"]
+            }
+
+        tasks = report.tasks_completed
+        assert series("dca.response_time")[()]["count"] == tasks
+        jobs = series("dca.jobs_per_task")[()]
+        assert (jobs["count"], jobs["sum"]) == (tasks, report.total_jobs)
+        waves = series("dca.wave_size")
+        assert waves[(("followup", "False"),)]["count"] == tasks
+        extends = waves[(("followup", "True"),)]["count"]
+        decisions = series("dca.decisions")
+        label = (("outcome", "extend"), ("strategy", "iterative(d=3)"))
+        assert decisions[label]["value"] == extends
+        assert tasks + extends == round(report.mean_waves * tasks)
+        complete = series("dca.complete")[()]["value"]
+        timeout = series("dca.timeout")[()]["value"]
+        assert complete + timeout == report.total_jobs
+        spans = columnar.spans
+        assert [span.name for span in spans] == ["dca.wave"] * len(spans)
+        assert [span.key for span in spans] == list(range(1, len(spans) + 1))
+        assert spans[0].start == 0.0
+        assert max(span.end for span in spans) == report.makespan

@@ -13,6 +13,7 @@ from repro.experiments.common import (
     replicate_dca,
 )
 from repro.core import IterativeRedundancy
+from repro.dca import ENGINES
 
 
 class TestCli:
@@ -61,18 +62,20 @@ class TestCommon:
         assert "-" in lines[-2]  # nan rendered as '-'
 
     def test_replicate_dca_aggregates(self):
-        m = replicate_dca(
-            lambda: IterativeRedundancy(2),
-            tasks=300,
-            nodes=100,
-            reliability=0.8,
-            replications=2,
-            seed=1,
-        )
-        assert m.replications == 2
-        assert m.mean_cost > 0
-        assert 0 <= m.mean_reliability <= 1
-        assert m.cost_err >= 0
+        for engine in ENGINES:
+            m = replicate_dca(
+                lambda: IterativeRedundancy(2),
+                tasks=300,
+                nodes=100,
+                reliability=0.8,
+                replications=2,
+                seed=1,
+                engine=engine,
+            )
+            assert m.replications == 2
+            assert m.mean_cost > 0
+            assert 0 <= m.mean_reliability <= 1
+            assert m.cost_err >= 0
 
     def test_replicate_requires_positive_reps(self):
         with pytest.raises(ValueError):
@@ -87,25 +90,28 @@ class TestCommon:
     def test_single_replicate_has_zero_error_bars(self):
         # Regression: one replicate must yield 0.0 standard errors (a
         # defined, plottable value), never NaN or a ZeroDivisionError.
-        m = replicate_dca(
-            lambda: IterativeRedundancy(2),
-            tasks=100,
-            nodes=50,
-            reliability=0.8,
-            replications=1,
-            seed=3,
-        )
-        assert m.replications == 1
-        assert m.cost_err == 0.0
-        assert m.reliability_err == 0.0
+        for engine in ENGINES:
+            m = replicate_dca(
+                lambda: IterativeRedundancy(2),
+                tasks=100,
+                nodes=50,
+                reliability=0.8,
+                replications=1,
+                seed=3,
+                engine=engine,
+            )
+            assert m.replications == 1
+            assert m.cost_err == 0.0
+            assert m.reliability_err == 0.0
 
     def test_jobs_do_not_change_measurements(self):
-        kwargs = dict(
-            tasks=100, nodes=50, reliability=0.8, replications=2, seed=4
-        )
-        serial = replicate_dca(lambda: IterativeRedundancy(2), jobs=1, **kwargs)
-        fanned = replicate_dca(lambda: IterativeRedundancy(2), jobs=3, **kwargs)
-        assert serial == fanned
+        for engine in ENGINES:
+            kwargs = dict(
+                tasks=100, nodes=50, reliability=0.8, replications=2, seed=4, engine=engine
+            )
+            serial = replicate_dca(lambda: IterativeRedundancy(2), jobs=1, **kwargs)
+            fanned = replicate_dca(lambda: IterativeRedundancy(2), jobs=3, **kwargs)
+            assert serial == fanned, engine
 
     def test_series_by_name(self):
         result = ExperimentResult("t", [Series("A"), Series("B")])

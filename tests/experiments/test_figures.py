@@ -5,11 +5,15 @@ These are the acceptance tests of the reproduction: each figure's
 qualitative claims, asserted against the harness output at test scale.
 """
 
+import functools
 import math
+from statistics import NormalDist
 
 import pytest
 
+from repro.dca import ENGINES
 from repro.experiments import examples_table, figure3, figure5a, figure5b, figure5c, figure6
+from repro.parallel import dca_replicate_specs
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +115,36 @@ class TestFigure5a:
 
     def test_renders(self, fig5a):
         assert "Figure 5(a)" in figure5a.render(fig5a)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sweep_matches_closed_forms_on_each_engine(self, engine, monkeypatch):
+        """The figure's own sweep, on each engine, against Eqs. (1)-(6).
+
+        The figure builds its specs with the replicate path's default
+        engine; the ``des`` leg rebinds its spec builder to run the same
+        sweep on the object DES.  Each point's reliability is a binomial
+        proportion over ``tasks x replications`` tasks; the |z| limit
+        holds the family-wise false-alarm rate at 1e-3 over all points
+        (Bonferroni).  TR dispatches exactly k jobs per task on both
+        engines, so its cost has no noise at all.
+        """
+        monkeypatch.setattr(
+            figure5a,
+            "dca_replicate_specs",
+            functools.partial(dca_replicate_specs, engine=engine),
+        )
+        tasks, replications = 600, 2
+        result = figure5a.compute(tasks=tasks, nodes=200, replications=replications, jobs=2)
+        points = [point for series in result.series for point in series.points]
+        limit = NormalDist().inv_cdf(1 - 1e-3 / (2 * len(points)))
+        n = tasks * replications
+        for point in points:
+            expected = point.extra["analytic_reliability"]
+            z = (point.reliability - expected) / math.sqrt(expected * (1 - expected) / n)
+            assert abs(z) <= limit, (point.label, point.reliability, expected)
+        tr = result.series_by_name("TR")
+        for k, point in zip(figure5a.DEFAULT_KS, tr.points):
+            assert point.cost == k
 
 
 class TestFigure5b:

@@ -23,7 +23,7 @@ from repro.core import (
     ProgressiveRedundancy,
     TraditionalRedundancy,
 )
-from repro.dca import DcaConfig
+from repro.dca import ENGINES, DcaConfig
 from repro.lint.sanitizer import dca_runner, trace_fingerprint
 from repro.parallel import combined_fingerprint, dca_replicate_specs, run_dca_replicates
 
@@ -94,12 +94,16 @@ def test_goldens_are_deterministic():
 
 
 def test_parallel_replication_still_matches_serial():
-    """``jobs=4 == jobs=1`` survives the hot-path rewrite end to end."""
-    params = dict(tasks=60, nodes=25, reliability=0.7, replications=3, seed=1234)
-    serial = run_dca_replicates(
-        dca_replicate_specs(lambda: IterativeRedundancy(3), **params), jobs=1
-    )
-    fanned = run_dca_replicates(
-        dca_replicate_specs(lambda: IterativeRedundancy(3), **params), jobs=4
-    )
-    assert combined_fingerprint(serial) == combined_fingerprint(fanned)
+    """``jobs=4 == jobs=1`` survives the hot-path rewrite end to end, on
+    both engines."""
+    for engine in ENGINES:
+        params = dict(
+            tasks=60, nodes=25, reliability=0.7, replications=3, seed=1234, engine=engine
+        )
+        serial = run_dca_replicates(
+            dca_replicate_specs(lambda: IterativeRedundancy(3), **params), jobs=1
+        )
+        fanned = run_dca_replicates(
+            dca_replicate_specs(lambda: IterativeRedundancy(3), **params), jobs=4
+        )
+        assert combined_fingerprint(serial) == combined_fingerprint(fanned), engine

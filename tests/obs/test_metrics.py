@@ -80,6 +80,24 @@ class TestHistogram:
             registry.histogram("rt", boundaries=(5.0,))
 
 
+class TestBulkObserve:
+    def test_matches_one_observe_per_value(self):
+        np = pytest.importorskip("numpy")
+        # Values on, between and beyond the boundaries, ints and floats.
+        values = [0.0, 0.5, 0.7, 1.0, 2, 5.0, 7.5, 20, 1000.0, 1e6]
+        one = MetricsRegistry().histogram("h")
+        bulk = MetricsRegistry().histogram("h")
+        for value in values:
+            one.observe(value, {"followup": True})
+        bulk.observe_many(np.asarray(values), {"followup": True})
+        bulk.observe_many(np.asarray([], dtype=float), {"followup": True})
+        (one_series,) = one._snapshot_series()
+        (bulk_series,) = bulk._snapshot_series()
+        assert bulk_series["counts"] == one_series["counts"]
+        assert bulk_series["count"] == one_series["count"] == len(values)
+        assert bulk_series["sum"] == pytest.approx(one_series["sum"])
+
+
 class TestSnapshot:
     def test_snapshot_is_canonically_sorted(self):
         registry = MetricsRegistry()

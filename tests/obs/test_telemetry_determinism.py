@@ -8,6 +8,8 @@ Three pins:
 * replicate metrics and fingerprints are unchanged by telemetry;
 * position-merged telemetry is byte-identical for ``jobs=4`` and
   ``jobs=1`` runs of the same specs.
+
+The replicate pins hold on both engines.
 """
 
 import copy
@@ -17,7 +19,7 @@ import json
 import pytest
 
 from repro.core import IterativeRedundancy, TraditionalRedundancy
-from repro.dca import DcaConfig
+from repro.dca import ENGINES, DcaConfig
 from repro.dca.simulation import DcaSimulation
 from repro.lint.sanitizer import _TraceLines, trace_fingerprint
 from repro.obs import TeeRecorder, TelemetryRecorder, TelemetrySink, clear_sink, install_sink
@@ -58,7 +60,7 @@ def test_golden_trace_identical_with_recorder_on_and_off(
     assert _digest_with(factory, config_kwargs, TelemetryRecorder()) == expected
 
 
-def _specs(telemetry=False):
+def _specs(engine, telemetry=False):
     return dca_replicate_specs(
         lambda: IterativeRedundancy(3),
         tasks=40,
@@ -67,37 +69,42 @@ def _specs(telemetry=False):
         replications=4,
         seed=77,
         telemetry=telemetry,
+        engine=engine,
     )
 
 
 def test_telemetry_flag_does_not_change_fingerprints():
-    plain = run_dca_replicates(_specs(telemetry=False), jobs=1)
-    recorded = run_dca_replicates(_specs(telemetry=True), jobs=1)
-    assert [e.fingerprint for e in plain] == [e.fingerprint for e in recorded]
-    assert all(e.telemetry is None for e in plain)
-    assert all(e.telemetry is not None for e in recorded)
+    for engine in ENGINES:
+        plain = run_dca_replicates(_specs(engine, telemetry=False), jobs=1)
+        recorded = run_dca_replicates(_specs(engine, telemetry=True), jobs=1)
+        assert [e.fingerprint for e in plain] == [e.fingerprint for e in recorded], engine
+        assert all(e.telemetry is None for e in plain)
+        assert all(e.telemetry is not None for e in recorded)
 
 
 def test_parallel_merged_telemetry_matches_serial_bytes():
-    serial = merge_telemetry(run_dca_replicates(_specs(telemetry=True), jobs=1))
-    fanned = merge_telemetry(run_dca_replicates(_specs(telemetry=True), jobs=4))
-    assert json.dumps(serial, sort_keys=True) == json.dumps(fanned, sort_keys=True)
+    for engine in ENGINES:
+        serial = merge_telemetry(run_dca_replicates(_specs(engine, telemetry=True), jobs=1))
+        fanned = merge_telemetry(run_dca_replicates(_specs(engine, telemetry=True), jobs=4))
+        assert json.dumps(serial, sort_keys=True) == json.dumps(fanned, sort_keys=True), engine
 
 
 def test_merge_telemetry_none_without_payloads():
-    assert merge_telemetry(run_dca_replicates(_specs(), jobs=1)) is None
+    for engine in ENGINES:
+        assert merge_telemetry(run_dca_replicates(_specs(engine), jobs=1)) is None, engine
 
 
 def test_installed_sink_upgrades_specs_and_collects_runs():
-    sink = TelemetrySink()
-    install_sink(sink)
-    try:
-        envelopes = run_dca_replicates(_specs(), jobs=1)
-    finally:
-        clear_sink()
-    assert all(e.telemetry is not None for e in envelopes)
-    (run,) = sink.runs
-    assert run["label"] == "iterative(d=3) x4"
-    assert run["metrics"]["dca.accept"]["series"][0]["value"] == 4 * 40
-    capture = sink.capture({"label": "t"})
-    assert capture.runs and capture.spans
+    for engine in ENGINES:
+        sink = TelemetrySink()
+        install_sink(sink)
+        try:
+            envelopes = run_dca_replicates(_specs(engine), jobs=1)
+        finally:
+            clear_sink()
+        assert all(e.telemetry is not None for e in envelopes)
+        (run,) = sink.runs
+        assert run["label"] == "iterative(d=3) x4"
+        assert run["metrics"]["dca.accept"]["series"][0]["value"] == 4 * 40
+        capture = sink.capture({"label": "t"})
+        assert capture.runs and capture.spans, engine

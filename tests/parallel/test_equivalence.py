@@ -1,8 +1,9 @@
 # reprolint: disable-file=RL003 -- the point of this suite is byte-exact serial/parallel equality
 """Determinism equivalence: ``jobs=4`` must be indistinguishable from
-``jobs=1`` for every technique, per replicate and in aggregate, and a
-crashing worker must surface a clear error naming the failed item's
-seed -- in every runner that fans out through the shared skeleton."""
+``jobs=1`` for every technique on both engines, per replicate and in
+aggregate, and a crashing worker must surface a clear error naming the
+failed item's seed -- in every runner that fans out through the shared
+skeleton."""
 
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from repro.core import (
     ProgressiveRedundancy,
     TraditionalRedundancy,
 )
+from repro.dca import ENGINES
 from repro.parallel import (
     ReplicateError,
     VolunteerProblemSpec,
@@ -34,11 +36,18 @@ SWEEP = [
 
 SMALL = dict(tasks=120, nodes=60, reliability=0.7, replications=3, seed=9)
 
+#: Every technique on every engine; the DES cases keep their bare ids.
+ENGINE_SWEEP = [
+    pytest.param(factory, engine, id=name if engine == "des" else f"{name}-{engine}")
+    for name, factory in SWEEP
+    for engine in ENGINES
+]
 
-@pytest.mark.parametrize("name,factory", SWEEP, ids=[n for n, _ in SWEEP])
-def test_parallel_equals_serial(name, factory):
-    serial = run_dca_replicates(dca_replicate_specs(factory, **SMALL), jobs=1)
-    fanned = run_dca_replicates(dca_replicate_specs(factory, **SMALL), jobs=4)
+
+@pytest.mark.parametrize("factory,engine", ENGINE_SWEEP)
+def test_parallel_equals_serial(factory, engine):
+    serial = run_dca_replicates(dca_replicate_specs(factory, engine=engine, **SMALL), jobs=1)
+    fanned = run_dca_replicates(dca_replicate_specs(factory, engine=engine, **SMALL), jobs=4)
     # Same seeds in the same order...
     assert [e.seed for e in serial] == [e.seed for e in fanned]
     # ...identical per-replicate metrics and fingerprints...
@@ -50,11 +59,14 @@ def test_parallel_equals_serial(name, factory):
 
 def test_parallel_equals_serial_with_tiny_chunks():
     factory = SWEEP[0][1]
-    serial = run_dca_replicates(dca_replicate_specs(factory, **SMALL), jobs=1)
-    fanned = run_dca_replicates(
-        dca_replicate_specs(factory, **SMALL), jobs=4, chunk_size=1
-    )
-    assert combined_fingerprint(serial) == combined_fingerprint(fanned)
+    for engine in ENGINES:
+        serial = run_dca_replicates(
+            dca_replicate_specs(factory, engine=engine, **SMALL), jobs=1
+        )
+        fanned = run_dca_replicates(
+            dca_replicate_specs(factory, engine=engine, **SMALL), jobs=4, chunk_size=1
+        )
+        assert combined_fingerprint(serial) == combined_fingerprint(fanned), engine
 
 
 class ExplodingStrategy(IterativeRedundancy):
