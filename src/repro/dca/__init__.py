@@ -23,7 +23,7 @@ columnar engine (:mod:`repro.dca.columnar`) when it fits that engine's
 regime, and raises :class:`ColumnarUnsupported` when it does not.
 """
 
-from repro.dca.columnar import ColumnarReport, ColumnarUnsupported, run_columnar_dca
+from repro.dca.columnar import ColumnarUnsupported, run_columnar_dca
 from repro.dca.config import DcaConfig
 from repro.dca.engines import ENGINES, check_engine, run_dca
 from repro.dca.failures import (
@@ -51,7 +51,6 @@ __all__ = [
     "ENGINES",
     "ByzantineCollusion",
     "CheckpointPolicy",
-    "ColumnarReport",
     "ColumnarUnsupported",
     "CorrelatedFailures",
     "DcaConfig",

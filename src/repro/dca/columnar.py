@@ -79,7 +79,6 @@ no-churn, no-spot-check run draws exactly what it always drew.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Type
 
 try:  # gated: the container/CI images ship numpy, but it stays optional
@@ -95,6 +94,7 @@ from repro.core.traditional import TraditionalRedundancy
 from repro.core.types import VoteState
 from repro.dca.config import DcaConfig
 from repro.dca.failures import ByzantineCollusion
+from repro.dca.report import DcaReport
 from repro.obs.names import (
     DCA_ACCEPTS,
     DCA_COMPLETES,
@@ -123,91 +123,6 @@ def _require_numpy() -> None:
         raise RuntimeError(
             "the columnar engine needs numpy; install it or use repro.dca.run_dca"
         )
-
-
-# ---------------------------------------------------------------------------
-# Report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ColumnarReport:
-    """Aggregated results of one columnar run.
-
-    Mirrors the Section 4.1 measures of :class:`~repro.dca.report.DcaReport`
-    (and its :meth:`as_dict` keys exactly), but holds aggregates instead
-    of a million per-task records.  Per-task means cover *completed*
-    tasks only, matching the DES report's records-based aggregation;
-    under a ``max_time`` horizon ``tasks_completed`` can fall short of
-    ``tasks_submitted`` and the means are ``nan`` when nothing finished.
-    """
-
-    strategy: str
-    tasks_submitted: int
-    tasks_completed: int
-    tasks_correct: int
-    total_jobs: int
-    max_jobs_per_task: int
-    mean_response_time: float
-    max_response_time: float
-    mean_waves: float
-    makespan: float
-    jobs_timed_out: int
-    seed: int
-    spot_checks: int = 0
-    nodes_blacklisted: int = 0
-    nodes_joined: int = 0
-    nodes_departed: int = 0
-
-    @property
-    def system_reliability(self) -> float:
-        if not self.tasks_completed:
-            return math.nan
-        return self.tasks_correct / self.tasks_completed
-
-    @property
-    def cost_factor(self) -> float:
-        if not self.tasks_completed:
-            return math.nan
-        return self.total_jobs / self.tasks_completed
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict with the same keys as :meth:`DcaReport.as_dict`."""
-        return {
-            "strategy": self.strategy,
-            "tasks": self.tasks_completed,
-            "reliability": self.system_reliability,
-            "cost_factor": self.cost_factor,
-            "max_jobs": self.max_jobs_per_task,
-            "mean_response_time": self.mean_response_time,
-            "max_response_time": self.max_response_time,
-            "mean_waves": self.mean_waves,
-            "makespan": self.makespan,
-        }
-
-    def summary(self) -> str:
-        lines = [
-            f"strategy                {self.strategy}",
-            f"tasks completed         {self.tasks_completed} / {self.tasks_submitted}",
-            f"time to complete        {self.makespan:.2f}",
-            f"total jobs              {self.total_jobs}",
-            f"avg jobs per task       {self.cost_factor:.3f}",
-            f"max jobs for any task   {self.max_jobs_per_task}",
-            f"tasks correct           {self.tasks_correct}"
-            f"  (system reliability {self.system_reliability:.4f})",
-            f"avg response time       {self.mean_response_time:.3f}",
-            f"max response time       {self.max_response_time:.3f}",
-        ]
-        if self.jobs_timed_out:
-            lines.append(f"jobs timed out          {self.jobs_timed_out}")
-        if self.spot_checks:
-            lines.append(f"spot checks issued      {self.spot_checks}")
-            lines.append(f"nodes blacklisted       {self.nodes_blacklisted}")
-        if self.nodes_joined or self.nodes_departed:
-            lines.append(
-                f"churn                   +{self.nodes_joined} / -{self.nodes_departed}"
-            )
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +340,7 @@ def run_columnar_dca(
     recorder: Optional[Recorder] = None,
     *,
     max_waves: int = 10_000,
-) -> ColumnarReport:
+) -> DcaReport:
     """Run one DCA computation with columnar batch state.
 
     Args:
@@ -436,7 +351,8 @@ def run_columnar_dca(
         max_waves: Runaway guard; a healthy run needs a handful of waves.
 
     Returns:
-        A :class:`ColumnarReport` with the Section 4.1 measures.
+        A :class:`~repro.dca.report.DcaReport` with the Section 4.1
+        measures and no per-task records.
     """
     _require_numpy()
     check_columnar(config.strategy, config.failure_model)
@@ -764,12 +680,16 @@ def run_columnar_dca(
     else:
         makespan = 0.0
     if rec is not None:
-        rec.count(DCA_DISPATCHES, total_dispatched)
-        rec.count(DCA_COMPLETES, completes)
-        rec.count(DCA_TIMEOUTS, timed_out)
-        rec.count(DCA_ACCEPTS, completed_count)
-        if spot_checks:
-            rec.count(DCA_SPOT_CHECKS, spot_checks)
+        # Like the DES, a counter exists only once something incremented it.
+        for name, n in (
+            (DCA_DISPATCHES, total_dispatched),
+            (DCA_COMPLETES, completes),
+            (DCA_TIMEOUTS, timed_out),
+            (DCA_ACCEPTS, completed_count),
+            (DCA_SPOT_CHECKS, spot_checks),
+        ):
+            if n:
+                rec.count(name, n)
         rec.gauge(DCA_MAKESPAN, makespan)
         rec.observe_many(DCA_RESPONSE_TIME, clock[completed])
         rec.observe_many(DCA_JOBS_PER_TASK, jobs_used[completed])
@@ -782,13 +702,13 @@ def run_columnar_dca(
         total_jobs = int(jobs_used[completed].sum())
         max_jobs = int(jobs_used[completed].max())
     else:
-        # The DES report yields nan means over zero records, 0 extremes.
+        # As DcaReport.from_records over zero records: nan means, 0 max jobs.
         mean_response = math.nan
         max_response = math.nan
         mean_waves = math.nan
         total_jobs = 0
         max_jobs = 0
-    report = ColumnarReport(
+    return DcaReport(
         strategy=strategy.describe(),
         tasks_submitted=tasks,
         tasks_completed=completed_count,
@@ -799,14 +719,14 @@ def run_columnar_dca(
         max_response_time=max_response,
         mean_waves=mean_waves,
         makespan=makespan,
+        total_jobs_dispatched=total_dispatched,
         jobs_timed_out=timed_out,
-        seed=config.seed,
         spot_checks=spot_checks,
         nodes_blacklisted=int((spot_fails > 0).sum()) if has_spot else 0,
         nodes_joined=joins,
         nodes_departed=departures,
+        seed=config.seed,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,22 @@
 (:class:`~repro.dca.simulation.DcaSimulation`, the default and the
 reference for every config) or on the columnar engine
 (:func:`~repro.dca.columnar.run_columnar_dca`, the paper's
-contention-free, binary-vote regime at a fraction of the cost).
+contention-free, binary-vote regime at a fraction of the cost).  Both
+return a :class:`~repro.dca.report.DcaReport`; only the DES fills its
+per-task ``records``.
 
 :func:`check_engine` is the same choice made without running anything.
-The replicate and shard specs call it as they are built, so a config
-the chosen engine cannot run fails in the parent process, before any
-worker starts.
+:class:`~repro.parallel.dca.DcaSpec` calls it as it is built, so a
+config the chosen engine cannot run fails in the parent process, before
+any worker starts.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.strategy import RedundancyStrategy
-from repro.dca.columnar import ColumnarReport, check_columnar, run_columnar_dca
+from repro.dca.columnar import check_columnar, run_columnar_dca
 from repro.dca.config import DcaConfig
 from repro.dca.report import DcaReport
 from repro.dca.simulation import DcaSimulation
@@ -45,7 +47,7 @@ def check_engine(
 
 def run_dca(
     config: DcaConfig, recorder: Optional[Recorder] = None, engine: str = "des"
-) -> Union[DcaReport, ColumnarReport]:
+) -> DcaReport:
     """Run one DCA computation on ``engine`` (the usual entry point)."""
     check_engine(engine, config.strategy, config.failure_model)
     if engine == "columnar":

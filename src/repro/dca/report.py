@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Sequence
 
 from repro.core.types import ResultValue
 
@@ -32,81 +32,95 @@ class TaskRecord:
 
 @dataclass
 class DcaReport:
-    """Aggregated results of one simulation run."""
+    """Aggregated results of one run, from either engine or any substrate.
+
+    The Section 4.1 aggregates are plain fields, filled once when the
+    report is built: from per-task records by :meth:`from_records`, or
+    from the columnar engine's columns directly (its ``records`` stay
+    empty).  Per-task aggregates cover *completed* tasks only; under a
+    ``max_time`` horizon ``tasks_completed`` can fall short of
+    ``tasks_submitted``, and the means are ``nan`` when nothing finished.
+    """
 
     strategy: str
     tasks_submitted: int
+    tasks_completed: int
+    #: 'The number of tasks that achieved a correct result.'
+    tasks_correct: int
+    #: 'The total number of jobs generated' (counted per task).
+    total_jobs: int
+    #: 'The maximum number of jobs generated for any single task.'
+    max_jobs_per_task: int
+    #: 'The average response time per task.'
+    mean_response_time: float
+    #: 'The maximum response time for any task.'
+    max_response_time: float
+    mean_waves: float
     records: List[TaskRecord] = field(default_factory=list)
     makespan: float = 0.0
     total_jobs_dispatched: int = 0
     jobs_timed_out: int = 0
     spot_checks: int = 0
+    nodes_blacklisted: int = 0
     nodes_joined: int = 0
     nodes_departed: int = 0
     seed: int = 0
 
-    # ------------------------------------------------------------------
-    # The paper's Section 4.1 measures
-    # ------------------------------------------------------------------
+    @classmethod
+    def from_records(
+        cls,
+        strategy: str,
+        tasks_submitted: int,
+        records: Sequence[TaskRecord],
+        **fields: Any,
+    ) -> "DcaReport":
+        """Aggregate per-task records into a report.
 
-    @property
-    def tasks_completed(self) -> int:
-        return len(self.records)
+        ``fields`` fills the remaining (non-aggregate) fields, including a
+        subclass's own.  Each aggregate is one ``sum()`` or ``max()`` over
+        the records in record order; an incremental ``+=`` would round
+        differently from ``sum()`` on Python 3.12+ and change ``as_dict()``.
+        """
+        n = len(records)
+        return cls(
+            strategy=strategy,
+            tasks_submitted=tasks_submitted,
+            tasks_completed=n,
+            tasks_correct=sum(1 for record in records if record.correct),
+            total_jobs=sum(record.jobs_used for record in records),
+            max_jobs_per_task=max((record.jobs_used for record in records), default=0),
+            mean_response_time=(
+                sum(record.response_time for record in records) / n if n else math.nan
+            ),
+            max_response_time=max(
+                (record.response_time for record in records), default=math.nan
+            ),
+            mean_waves=sum(record.waves for record in records) / n if n else math.nan,
+            records=records,
+            **fields,
+        )
 
-    @property
-    def tasks_correct(self) -> int:
-        """'The number of tasks that achieved a correct result.'"""
-        return sum(1 for record in self.records if record.correct)
+    # ------------------------------------------------------------------
+    # The paper's Section 4.1 measures derived from the fields
+    # ------------------------------------------------------------------
 
     @property
     def system_reliability(self) -> float:
         """Fraction of completed tasks with the correct result."""
-        if not self.records:
+        if not self.tasks_completed:
             return math.nan
-        return self.tasks_correct / len(self.records)
-
-    @property
-    def total_jobs(self) -> int:
-        """'The total number of jobs generated' (counted per task)."""
-        return sum(record.jobs_used for record in self.records)
+        return self.tasks_correct / self.tasks_completed
 
     @property
     def cost_factor(self) -> float:
         """'The average number of jobs per task generated.'"""
-        if not self.records:
+        if not self.tasks_completed:
             return math.nan
-        return self.total_jobs / len(self.records)
-
-    @property
-    def max_jobs_per_task(self) -> int:
-        """'The maximum number of jobs generated for any single task.'"""
-        if not self.records:
-            return 0
-        return max(record.jobs_used for record in self.records)
-
-    @property
-    def mean_response_time(self) -> float:
-        """'The average response time per task.'"""
-        if not self.records:
-            return math.nan
-        return sum(record.response_time for record in self.records) / len(self.records)
-
-    @property
-    def max_response_time(self) -> float:
-        """'The maximum response time for any task.'"""
-        if not self.records:
-            return math.nan
-        return max(record.response_time for record in self.records)
-
-    @property
-    def mean_waves(self) -> float:
-        if not self.records:
-            return math.nan
-        return sum(record.waves for record in self.records) / len(self.records)
+        return self.total_jobs / self.tasks_completed
 
     def reliability_confidence_interval(self, z: float = 1.96) -> tuple:
         """Normal-approximation CI on the system reliability."""
-        n = len(self.records)
+        n = self.tasks_completed
         if n < 2:
             return (math.nan, math.nan)
         p = self.system_reliability
@@ -135,6 +149,8 @@ class DcaReport:
             lines.append(f"jobs timed out          {self.jobs_timed_out}")
         if self.spot_checks:
             lines.append(f"spot checks issued      {self.spot_checks}")
+        if self.nodes_blacklisted:
+            lines.append(f"nodes blacklisted       {self.nodes_blacklisted}")
         if self.nodes_joined or self.nodes_departed:
             lines.append(
                 f"churn                   +{self.nodes_joined} / -{self.nodes_departed}"
@@ -159,32 +175,18 @@ class DcaReport:
     # Persistence
     # ------------------------------------------------------------------
 
-    def to_json(self, *, include_records: bool = True) -> str:
-        """Serialise the full report (optionally without per-task records).
+    def to_json(self) -> str:
+        """Serialise every field of the report, records included.
 
         Result values are JSON-encoded as-is, so only JSON-representable
         values (the binary model's booleans, numbers, strings, lists)
         round-trip; exotic hashables would need a custom encoder.
         """
-        payload = {
-            "strategy": self.strategy,
-            "tasks_submitted": self.tasks_submitted,
-            "makespan": self.makespan,
-            "total_jobs_dispatched": self.total_jobs_dispatched,
-            "jobs_timed_out": self.jobs_timed_out,
-            "spot_checks": self.spot_checks,
-            "nodes_joined": self.nodes_joined,
-            "nodes_departed": self.nodes_departed,
-            "seed": self.seed,
-            "records": [asdict(record) for record in self.records]
-            if include_records
-            else [],
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "DcaReport":
         """Reconstruct a report serialised by :meth:`to_json`."""
         payload = json.loads(text)
-        records = [TaskRecord(**record) for record in payload.pop("records")]
-        return cls(records=records, **payload)
+        payload["records"] = [TaskRecord(**record) for record in payload["records"]]
+        return cls(**payload)

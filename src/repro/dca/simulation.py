@@ -81,10 +81,10 @@ class DcaSimulation:
         self.sim.run(until=config.max_time)
         if self.sim.recorder is not None:
             self.sim.recorder.gauge(DCA_MAKESPAN, self.sim.now)
-        return DcaReport(
-            strategy=config.strategy.describe(),
-            tasks_submitted=config.tasks,
-            records=self.server.records,
+        return DcaReport.from_records(
+            config.strategy.describe(),
+            config.tasks,
+            self.server.records,
             makespan=self.sim.now,
             total_jobs_dispatched=self.server.total_jobs_dispatched,
             jobs_timed_out=self.server.jobs_timed_out,

@@ -140,10 +140,10 @@ def run_grid(config: GridConfig) -> DcaReport:
         dispatch(state, strategy.initial_jobs())
     sim.run()
 
-    return DcaReport(
-        strategy=strategy.describe(),
-        tasks_submitted=config.tasks,
-        records=records,
+    return DcaReport.from_records(
+        strategy.describe(),
+        config.tasks,
+        records,
         makespan=sim.now,
         total_jobs_dispatched=broker.jobs_routed,
         seed=config.seed,

@@ -134,10 +134,10 @@ class MapReduceEngine:
             )
         simulation.churn.start()
         simulation.sim.run()
-        map_report = DcaReport(
-            strategy=self.strategy.describe(),
-            tasks_submitted=job.num_tasks,
-            records=simulation.server.records,
+        map_report = DcaReport.from_records(
+            self.strategy.describe(),
+            job.num_tasks,
+            simulation.server.records,
             makespan=simulation.sim.now,
             total_jobs_dispatched=simulation.server.total_jobs_dispatched,
             jobs_timed_out=simulation.server.jobs_timed_out,

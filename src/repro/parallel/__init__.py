@@ -28,7 +28,7 @@ See ``docs/parallelism.md`` for the full design.
 """
 
 from repro.parallel.dca import (
-    DcaReplicateSpec,
+    DcaSpec,
     dca_replicate_specs,
     run_dca_replicate,
     run_dca_replicates,
@@ -52,7 +52,6 @@ from repro.parallel.reducer import (
 )
 from repro.parallel.seeds import replicate_seeds, shard_seeds
 from repro.parallel.shards import (
-    ShardSpec,
     merge_shard_reports,
     run_dca_shard,
     run_dca_shards,
@@ -65,11 +64,10 @@ from repro.parallel.volunteer import (
 )
 
 __all__ = [
-    "DcaReplicateSpec",
+    "DcaSpec",
     "MetricAggregate",
     "ReplicateEnvelope",
     "ReplicateError",
-    "ShardSpec",
     "VolunteerProblemSpec",
     "WorkerCrash",
     "aggregate_metrics",

@@ -1,10 +1,12 @@
 """DCA replicate worker: run one replicate, return an envelope.
 
 This is the substrate glue between :func:`repro.parallel.engine.parallel_map`
-and :func:`repro.dca.run_dca`.  The spec is a frozen, picklable value
-object; the worker rebuilds the full :class:`~repro.dca.config.DcaConfig`
-from it inside the (possibly remote) process, so no live simulation
-state ever crosses a process boundary.
+and :func:`repro.dca.run_dca`.  :class:`DcaSpec` is a frozen, picklable
+value object, the one spec type of both the replicate path and the
+shard path (:mod:`repro.parallel.shards`); the worker rebuilds the full
+:class:`~repro.dca.config.DcaConfig` from it inside the (possibly
+remote) process, so no live simulation state ever crosses a process
+boundary.
 
 Each spec names its engine (``engine=``, default ``"columnar"``); the
 worker hands it to :func:`repro.dca.run_dca`.  Building a spec checks
@@ -35,14 +37,17 @@ from repro.parallel.seeds import replicate_seeds
 
 
 @dataclass(frozen=True)
-class DcaReplicateSpec:
-    """Everything one DCA replicate needs, in picklable form.
+class DcaSpec:
+    """Everything one DCA replicate or shard needs, in picklable form.
 
     The strategy is a *fresh instance* built by the caller's factory; it
     is pickled to the worker (parallel) or used directly (serial), so
     node-aware strategies start every replicate from a clean slate either
     way.  ``overrides`` carries extra :class:`DcaConfig` fields as a
-    sorted tuple of pairs to keep the spec hashable.
+    sorted tuple of pairs to keep the spec hashable.  For a shard,
+    ``tasks`` and ``nodes`` are the shard's share of the computation and
+    ``seed`` its spawn-derived root seed (see
+    :func:`~repro.parallel.shards.shard_specs`).
 
     ``engine`` picks the engine that runs the replicate (see
     :data:`repro.dca.ENGINES`); construction rejects an unknown name,
@@ -67,6 +72,21 @@ class DcaReplicateSpec:
     def __post_init__(self) -> None:
         check_engine(self.engine, self.strategy, dict(self.overrides).get("failure_model"))
 
+    def config(self) -> DcaConfig:
+        """The run's config, with its own deep copy of the strategy.
+
+        The copy makes serial runs match parallel ones (where pickling
+        makes it) even if a caller shares one strategy across specs.
+        """
+        return DcaConfig(
+            strategy=copy.deepcopy(self.strategy),
+            tasks=self.tasks,
+            nodes=self.nodes,
+            reliability=self.reliability,
+            seed=self.seed,
+            **dict(self.overrides),
+        )
+
 
 def dca_replicate_specs(
     strategy_factory: Callable[[], RedundancyStrategy],
@@ -79,7 +99,7 @@ def dca_replicate_specs(
     telemetry: bool = False,
     engine: str = "columnar",
     **config_overrides: Any,
-) -> List[DcaReplicateSpec]:
+) -> List[DcaSpec]:
     """Build one spec per replicate with spawn-derived seeds.
 
     Raises:
@@ -90,7 +110,7 @@ def dca_replicate_specs(
     seeds = replicate_seeds(seed, replications)
     overrides = tuple(sorted(config_overrides.items()))
     return [
-        DcaReplicateSpec(
+        DcaSpec(
             seed=replicate_seed,
             strategy=strategy_factory(),
             tasks=tasks,
@@ -104,29 +124,16 @@ def dca_replicate_specs(
     ]
 
 
-def run_dca_replicate(spec: DcaReplicateSpec) -> RawResult:
+def run_dca_replicate(spec: DcaSpec) -> RawResult:
     """Execute one replicate (the module-level, picklable worker)."""
     start = time.perf_counter()
     recorder = worker_recorder(spec.telemetry)
-    # Deep-copy so serial runs match parallel ones (where pickling makes
-    # the copy) even if a caller shares one strategy across specs.
-    report = run_dca(
-        DcaConfig(
-            strategy=copy.deepcopy(spec.strategy),
-            tasks=spec.tasks,
-            nodes=spec.nodes,
-            reliability=spec.reliability,
-            seed=spec.seed,
-            **dict(spec.overrides),
-        ),
-        recorder=recorder,
-        engine=spec.engine,
-    )
+    report = run_dca(spec.config(), recorder=recorder, engine=spec.engine)
     return raw_result(spec.seed, report.as_dict(), start, recorder)
 
 
 def run_dca_replicates(
-    specs: Sequence[DcaReplicateSpec],
+    specs: Sequence[DcaSpec],
     *,
     jobs: Optional[int] = 1,
     chunk_size: Optional[int] = None,

@@ -34,15 +34,14 @@ configurations the columnar regime rejects.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.distributions import ReliabilityDistribution
 from repro.core.strategy import RedundancyStrategy
-from repro.dca import DcaConfig, check_engine, run_columnar_dca, run_dca
+from repro.dca import DcaConfig, DcaReport, run_columnar_dca, run_dca
+from repro.parallel.dca import DcaSpec
 from repro.parallel.engine import parallel_map
 from repro.parallel.envelope import (
     RawResult,
@@ -53,31 +52,6 @@ from repro.parallel.envelope import (
 )
 from repro.parallel.reducer import combined_fingerprint, merge_telemetry, ordered
 from repro.parallel.seeds import shard_seeds
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One shard of a larger computation, in picklable form.
-
-    ``tasks`` and ``nodes`` are this *shard's* share of the computation,
-    already split by :func:`shard_specs`; ``seed`` is the shard's
-    spawn-derived root seed.  ``overrides`` carries extra
-    :class:`~repro.dca.DcaConfig` fields as a sorted tuple of pairs
-    (churn rates already scaled to the shard's pool share).
-    Construction checks ``engine`` as :class:`~repro.parallel.dca.DcaReplicateSpec`
-    does.
-    """
-
-    seed: int
-    strategy: RedundancyStrategy
-    tasks: int
-    nodes: int
-    reliability: Union[float, ReliabilityDistribution]
-    engine: str = "columnar"
-    overrides: Tuple[Tuple[str, Any], ...] = ()
-    telemetry: bool = False
-
-    def __post_init__(self) -> None:
-        check_engine(self.engine, self.strategy, dict(self.overrides).get("failure_model"))
 
 
 def _split(total: int, shards: int) -> List[int]:
@@ -101,7 +75,7 @@ def shard_specs(
     engine: str = "columnar",
     telemetry: bool = False,
     **config_overrides: Any,
-) -> List[ShardSpec]:
+) -> List[DcaSpec]:
     """Split one computation into per-shard specs with spawn-derived seeds.
 
     Churn rates (``arrival_rate`` / ``departure_rate`` overrides) are
@@ -136,7 +110,7 @@ def shard_specs(
         return tuple(sorted(scaled.items()))
 
     return [
-        ShardSpec(
+        DcaSpec(
             seed=shard_seed,
             strategy=strategy_factory(),
             tasks=task_share,
@@ -150,7 +124,7 @@ def shard_specs(
     ]
 
 
-def _regime_metrics(report, config: DcaConfig) -> Dict[str, Any]:
+def _regime_metrics(report: DcaReport, config: DcaConfig) -> Dict[str, Any]:
     """Extra extensive counters for the regimes the config enables.
 
     Keys are added only when their regime is on, so runs outside the
@@ -163,13 +137,13 @@ def _regime_metrics(report, config: DcaConfig) -> Dict[str, Any]:
         extras["nodes_departed"] = report.nodes_departed
     if config.spot_check_rate:
         extras["spot_checks"] = report.spot_checks
-        extras["nodes_blacklisted"] = getattr(report, "nodes_blacklisted", 0)
+        extras["nodes_blacklisted"] = report.nodes_blacklisted
     if config.max_time is not None:
         extras["tasks_submitted"] = report.tasks_submitted
     return extras
 
 
-def run_dca_shard(spec: ShardSpec) -> RawResult:
+def run_dca_shard(spec: DcaSpec) -> RawResult:
     """Execute one shard (the module-level, picklable worker).
 
     The shard's metrics are its report's ``as_dict()`` plus the extensive
@@ -179,14 +153,7 @@ def run_dca_shard(spec: ShardSpec) -> RawResult:
     """
     start = time.perf_counter()
     recorder = worker_recorder(spec.telemetry)
-    config = DcaConfig(
-        strategy=copy.deepcopy(spec.strategy),
-        tasks=spec.tasks,
-        nodes=spec.nodes,
-        reliability=spec.reliability,
-        seed=spec.seed,
-        **dict(spec.overrides),
-    )
+    config = spec.config()
     # The columnar engine is called by name rather than through run_dca's
     # engine switch, so perfbench's traced run can time it on its own.
     if spec.engine == "columnar":
@@ -202,7 +169,7 @@ def run_dca_shard(spec: ShardSpec) -> RawResult:
 
 
 def run_dca_shards(
-    specs: Sequence[ShardSpec],
+    specs: Sequence[DcaSpec],
     *,
     jobs: Optional[int] = 1,
     chunk_size: Optional[int] = None,

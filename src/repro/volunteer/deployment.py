@@ -136,10 +136,10 @@ def run_volunteer(config: VolunteerConfig) -> VolunteerReport:
     if config.use_sat and server.remaining_units == 0:
         answer = recombine(server.verdicts())
 
-    report = VolunteerReport(
-        strategy=config.strategy.describe(),
-        tasks_submitted=config.tasks,
-        records=server.records,
+    report = VolunteerReport.from_records(
+        config.strategy.describe(),
+        config.tasks,
+        server.records,
         makespan=sim.now,
         total_jobs_dispatched=server.assignments_issued,
         jobs_timed_out=server.deadline_misses,
@@ -189,12 +189,12 @@ def derive_reliability(report: DcaReport, strategy: RedundancyStrategy) -> float
     from repro.core import IterativeRedundancy, ProgressiveRedundancy, TraditionalRedundancy
     from repro.core import analysis
 
-    if not report.records:
+    if not report.tasks_completed:
         return math.nan
     # The closed forms count *responses*; jobs burned on deadline misses
     # are pure transport overhead, so exclude them from the cost signal.
     responded = report.total_jobs - report.jobs_timed_out
-    cost = responded / len(report.records)
+    cost = responded / report.tasks_completed
     observed_reliability = report.system_reliability
 
     def bisect(func, lo: float = 0.501, hi: float = 0.999) -> float:

@@ -3,12 +3,21 @@
 suite payloads, and the CLI's divergence gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import SCHEMA_VERSION, SUITES, run_suite, time_callable, write_report
 from repro.bench.cli import main as bench_main
 from repro.bench.report import report_path
+from repro.bench.suites import bench_dca_run
+
+#: The committed baselines ``repro-bench --compare`` judges against.
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+
+
+def committed_checksum(name, *, quick):
+    return json.loads(report_path(name, BASELINES, quick=quick).read_text())["checksum"]
 
 
 class TestTiming:
@@ -90,6 +99,17 @@ class TestSuites:
         assert payload["results"]["speedup_vs_des"] > 0
         again = run_suite(name, seed=1, quick=True, repeats=1)
         assert again["checksum"] == payload["checksum"]
+
+    @pytest.mark.parametrize(
+        "name", ["scale", "scale_churn", "scale_spot", "scale_deadline"]
+    )
+    def test_quick_scale_checksum_matches_committed_baseline(self, name):
+        payload = run_suite(name, seed=0, quick=True, repeats=1)
+        assert payload["checksum"] == committed_checksum(name, quick=True)
+
+    def test_dca_run_checksum_matches_committed_baseline(self):
+        payload = bench_dca_run(repeats=1)
+        assert payload["checksum"] == committed_checksum("dca_run", quick=False)
 
     def test_regime_scale_suites_carry_their_regime(self):
         churn = run_suite("scale_churn", seed=1, quick=True, repeats=1)

@@ -471,14 +471,22 @@ class TestReportAndTelemetry:
         assert recorder.spans and recorder.open_spans == 0
 
     def test_recorder_speaks_the_des_vocabulary(self):
-        config = _config(IterativeRedundancy(3), tasks=300, nodes=3_000)
+        # With and without silent nodes: timeouts appear only in the second.
+        for silent in (0.0, 0.1):
+            self._check_vocabulary(silent)
+
+    def _check_vocabulary(self, silent):
+        config = _config(
+            IterativeRedundancy(3), tasks=300, nodes=3_000, unresponsive_prob=silent
+        )
         des, columnar = TelemetryRecorder(), TelemetryRecorder()
         run_dca(config, recorder=des)
         report = run_columnar_dca(config, recorder=columnar)
         des_snap = des.registry.snapshot()
         col_snap = columnar.registry.snapshot()
         des_names = {name for name in des_snap if name.startswith("dca.")}
-        assert des_names <= set(col_snap)
+        assert des_names == {name for name in col_snap if name.startswith("dca.")}
+        assert ("dca.timeout" in des_names) == (silent > 0)
         for name in ("dca.wave_size", "dca.response_time", "dca.jobs_per_task"):
             assert col_snap[name]["boundaries"] == des_snap[name]["boundaries"]
 
@@ -500,7 +508,7 @@ class TestReportAndTelemetry:
         assert decisions[label]["value"] == extends
         assert tasks + extends == round(report.mean_waves * tasks)
         complete = series("dca.complete")[()]["value"]
-        timeout = series("dca.timeout")[()]["value"]
+        timeout = series("dca.timeout")[()]["value"] if "dca.timeout" in col_snap else 0
         assert complete + timeout == report.total_jobs
         spans = columnar.spans
         assert [span.name for span in spans] == ["dca.wave"] * len(spans)

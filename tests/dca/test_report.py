@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from repro.core import IterativeRedundancy
+from repro.dca import ENGINES, DcaConfig, run_dca
 from repro.dca.report import DcaReport, TaskRecord
 
 
@@ -21,10 +23,10 @@ def record(task_id=0, correct=True, jobs=3, waves=1, response=1.0):
 
 
 def sample_report():
-    return DcaReport(
-        strategy="iterative(d=3)",
-        tasks_submitted=3,
-        records=[
+    return DcaReport.from_records(
+        "iterative(d=3)",
+        3,
+        [
             record(0, correct=True, jobs=3, response=1.0),
             record(1, correct=False, jobs=7, waves=3, response=4.0),
             record(2, correct=True, jobs=5, waves=2, response=2.5),
@@ -50,23 +52,22 @@ class TestAggregation:
         assert report.mean_waves == pytest.approx(2.0)
 
     def test_empty_report_nans(self):
-        report = DcaReport(strategy="x", tasks_submitted=0)
+        report = DcaReport.from_records("x", 0, [])
         assert math.isnan(report.system_reliability)
         assert math.isnan(report.cost_factor)
         assert math.isnan(report.mean_response_time)
+        assert math.isnan(report.max_response_time)
+        assert math.isnan(report.mean_waves)
         assert report.max_jobs_per_task == 0
+        assert report.tasks_completed == report.total_jobs == 0
 
     def test_confidence_interval_needs_two_records(self):
-        report = DcaReport(strategy="x", tasks_submitted=1, records=[record()])
+        report = DcaReport.from_records("x", 1, [record()])
         lo, hi = report.reliability_confidence_interval()
         assert math.isnan(lo) and math.isnan(hi)
 
     def test_confidence_interval_clamped(self):
-        report = DcaReport(
-            strategy="x",
-            tasks_submitted=5,
-            records=[record(i, correct=True) for i in range(5)],
-        )
+        report = DcaReport.from_records("x", 5, [record(i, correct=True) for i in range(5)])
         lo, hi = report.reliability_confidence_interval()
         assert 0.0 <= lo <= 1.0
         assert hi == 1.0
@@ -81,20 +82,21 @@ class TestPersistence:
         assert clone.seed == 42
         assert clone.jobs_timed_out == 1
 
-    def test_records_optional(self):
-        report = sample_report()
-        slim = DcaReport.from_json(report.to_json(include_records=False))
-        assert slim.records == []
-        assert slim.tasks_submitted == 3
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_report_round_trips(self, engine):
+        report = run_dca(
+            DcaConfig(strategy=IterativeRedundancy(2), tasks=30, nodes=10, seed=3),
+            engine=engine,
+        )
+        clone = DcaReport.from_json(report.to_json())
+        assert clone.as_dict() == report.as_dict()
+        assert clone == report
 
     def test_json_is_stable_text(self):
         report = sample_report()
         assert report.to_json() == report.to_json()
 
     def test_real_run_round_trips(self):
-        from repro.core import IterativeRedundancy
-        from repro.dca import DcaConfig, run_dca
-
         report = run_dca(
             DcaConfig(strategy=IterativeRedundancy(2), tasks=30, nodes=10, seed=3)
         )

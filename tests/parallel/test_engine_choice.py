@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import CredibilityManager, CredibilityStrategy, IterativeRedundancy
 from repro.dca import (
-    ColumnarReport,
+    ENGINES,
     ColumnarUnsupported,
     DcaConfig,
     DcaReport,
@@ -82,10 +82,20 @@ def test_replicate_dca_rejects_before_running():
 def test_run_dca_front_door():
     config = DcaConfig(strategy=IterativeRedundancy(2), **SMALL)
     assert isinstance(run_dca(config), DcaReport)
-    assert isinstance(run_dca(config, engine="des"), DcaReport)
-    assert isinstance(run_dca(config, engine="columnar"), ColumnarReport)
     with pytest.raises(ValueError, match="choose from"):
         run_dca(config, engine="quantum")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_engine_returns_a_dca_report(engine):
+    config = DcaConfig(strategy=IterativeRedundancy(2), spot_check_rate=0.1, **SMALL)
+    report = run_dca(config, engine=engine)
+    assert isinstance(report, DcaReport)
+    assert "iterative" in report.summary()
+    lo, hi = report.reliability_confidence_interval()
+    assert 0.0 <= lo <= report.system_reliability <= hi <= 1.0
+    assert report.spot_checks > 0
+    assert report.total_jobs_dispatched >= report.total_jobs + report.spot_checks
 
 
 def test_figure6_runs_on_the_des(monkeypatch):
